@@ -17,11 +17,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.characterization import (
-    measure_family_dispersion,
-    measure_period_jitter,
-    sweep_voltage,
-)
+from repro.core.characterization import measure_family_dispersion, sweep_voltage
 from repro.fpga.board import Board, BoardBank
 from repro.parallel.cache import ResultCache, _package_version, fingerprint
 from repro.parallel.executor import GridStats, GridTask, ProgressCallback, run_grid
@@ -29,7 +25,6 @@ from repro.parallel.seeds import spawn_seeds
 from repro.parallel.sharding import MergedRun, ShardRun, ShardSpec, run_shard
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
-from repro.simulation.noise import SeedLike
 from repro.stats.accumulation import accumulation_profile
 from repro.telemetry import get_logger, span
 from repro.trng.elementary import predicted_shannon_entropy
@@ -162,19 +157,17 @@ def _segment_lengths(total_periods: int, segment_periods: int) -> List[int]:
     too short to yield a jitter estimate (< 2 periods) is folded into
     the last segment.
     """
-    if total_periods < 1:
-        raise ValueError(f"need a positive period budget, got {total_periods}")
+    if total_periods < 2:
+        raise ValueError(f"a jitter estimate needs at least 2 periods, got {total_periods}")
     if segment_periods < 2:
         raise ValueError(f"segments need at least 2 periods, got {segment_periods}")
     lengths = [segment_periods] * (total_periods // segment_periods)
     remainder = total_periods % segment_periods
     if remainder >= 2:
         lengths.append(remainder)
-    elif remainder and lengths:
-        lengths[-1] += remainder
     elif remainder:
-        lengths.append(remainder + segment_periods)  # unreachable guard
-    return lengths or [total_periods]
+        lengths[-1] += remainder
+    return lengths
 
 
 def _campaign_segment_worker(task: GridTask) -> List[float]:
@@ -188,17 +181,13 @@ def _campaign_segment_worker(task: GridTask) -> List[float]:
     return [float(period) for period in trace.periods_ps()]
 
 
-def _campaign_segments_batch(
-    specs: Sequence[RingSpec],
-    rings: Sequence[Any],
-    lengths: Sequence[int],
-    spec_seeds: Sequence[Optional[int]],
-) -> List[List[float]]:
+def _campaign_segments_batch(tasks: Sequence[GridTask]) -> List[List[float]]:
     """All jitter segments in two vectorized kernel calls (one per family).
 
-    Segment boundaries and derived seeds are identical to the grid path,
-    so IRO segments (bit-exact kernel) reproduce the event-backend
-    campaign digits exactly; STR segments are statistically equivalent.
+    Runs the very tasks of :func:`_campaign_tasks` — same segment
+    lengths, same seeds — so IRO segments (bit-exact kernel) reproduce
+    the event-backend campaign digits exactly; STR segments are
+    statistically equivalent.
     """
     from repro.simulation.batch import (
         IROBatchSpec,
@@ -210,20 +199,15 @@ def _campaign_segments_batch(
     iro_specs: List[IROBatchSpec] = []
     str_specs: List[STRBatchSpec] = []
     slots: List[tuple] = []
-    for spec, ring, spec_seed in zip(specs, rings, spec_seeds):
-        segment_seeds = spawn_seeds(spec_seed, len(lengths))
-        for length, segment_seed in zip(lengths, segment_seeds):
-            edge_count = 2 * (length + CAMPAIGN_WARMUP_PERIODS) + 1
-            if spec.kind == "iro":
-                slots.append(("iro", len(iro_specs)))
-                iro_specs.append(
-                    IROBatchSpec.from_ring(ring, edge_count=edge_count, seed=segment_seed)
-                )
-            else:
-                slots.append(("str", len(str_specs)))
-                str_specs.append(
-                    STRBatchSpec.from_ring(ring, edge_count=edge_count, seed=segment_seed)
-                )
+    for task in tasks:
+        ring = task.payload["ring"]
+        edge_count = 2 * (task.payload["period_count"] + CAMPAIGN_WARMUP_PERIODS) + 1
+        if isinstance(ring, InverterRingOscillator):
+            slots.append(("iro", len(iro_specs)))
+            iro_specs.append(IROBatchSpec.from_ring(ring, edge_count=edge_count, seed=task.seed))
+        else:
+            slots.append(("str", len(str_specs)))
+            str_specs.append(STRBatchSpec.from_ring(ring, edge_count=edge_count, seed=task.seed))
     iro_traces = simulate_iro_batch(iro_specs).traces if iro_specs else []
     str_traces = simulate_str_batch(str_specs).traces if str_specs else []
     segments: List[List[float]] = []
@@ -238,24 +222,27 @@ def _campaign_tasks(
     specs: Sequence[RingSpec],
     rings: Sequence[Any],
     lengths: Sequence[int],
-    spec_seeds: Sequence[Optional[int]],
+    seed: Optional[int],
 ) -> List[GridTask]:
     """The campaign's flat segment grid, seeds derived before any split.
 
-    Shared by the single-host path (:func:`run_campaign`) and the shard
-    path (:func:`run_campaign_shard`): both build the *whole* grid from
-    the same arguments, so a shard owns a subset of exactly the tasks —
-    and seeds — the single-host run would have evaluated.
+    The one place the segment/seed tree is derived: one child of
+    ``seed`` per spec, one grandchild per segment.  The single-host path
+    (:func:`run_campaign`, either backend) and the shard path
+    (:func:`run_campaign_shard`) all build the *whole* grid from the
+    same arguments, so a shard owns a subset of exactly the tasks — and
+    seeds — the single-host run would have evaluated.
     """
     tasks: List[GridTask] = []
-    for spec, ring, spec_seed in zip(specs, rings, spec_seeds):
+    for spec, ring, spec_seed in zip(specs, rings, spawn_seeds(seed, len(specs))):
+        ring_key = fingerprint(ring)
         segment_seeds = spawn_seeds(spec_seed, len(lengths))
         for segment_index, (length, segment_seed) in enumerate(zip(lengths, segment_seeds)):
             tasks.append(
                 GridTask(
                     kind="campaign_jitter_segment",
                     spec={
-                        "ring": fingerprint(ring),
+                        "ring": ring_key,
                         "label": spec.label,
                         "segment": segment_index,
                         "period_count": length,
@@ -304,10 +291,9 @@ def run_campaign(
     voltages_v: Sequence[float] = (1.0, 1.2, 1.4),
     jitter_periods: int = 2048,
     q_target: float = 0.2,
-    seed: SeedLike = 0,
+    seed: Optional[int] = 0,
     jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
-    seed_mode: str = "spawn",
     segment_periods: int = DEFAULT_SEGMENT_PERIODS,
     progress: Optional[ProgressCallback] = None,
     backend: str = "event",
@@ -324,9 +310,8 @@ def run_campaign(
     fanned out over ``jobs`` worker processes, consulting ``cache`` per
     segment.  Any job count produces bit-identical reports because the
     segment list and its seeds depend only on the arguments, never on
-    scheduling.  ``seed_mode="shared"`` (or a ``numpy.random.Generator``
-    seed) selects the legacy serial path: one unsegmented simulation per
-    spec, every spec reusing the root seed.
+    scheduling.  The root ``seed`` must be an integer (or ``None``); a
+    ``numpy.random.Generator`` raises ``TypeError``.
 
     ``backend="batch"`` runs the very same segment/seed tree through the
     vectorized kernels instead of worker processes (``jobs``/``cache``
@@ -346,49 +331,23 @@ def run_campaign(
             "campaign.start",
             specs=[spec.label for spec in specs],
             jitter_periods=jitter_periods,
-            seed_mode=seed_mode,
+            backend=backend,
         )
-        if seed_mode == "shared" or isinstance(seed, np.random.Generator):
-            report = _run_campaign_legacy(
-                specs, bank, voltages_v, jitter_periods, q_target, seed
-            )
-            _log.info("campaign.complete", rings=len(report.results), path="legacy")
-            return report
-
         rings = [spec.build(nominal_board) for spec in specs]
-        spec_seeds = spawn_seeds(seed, len(specs))
         lengths = _segment_lengths(jitter_periods, segment_periods)
-        if backend == "batch":
-            tele.set("segments", len(lengths) * len(specs))
-            segments = _campaign_segments_batch(specs, rings, lengths, spec_seeds)
-            results = []
-            for index, (spec, ring) in enumerate(zip(specs, rings)):
-                sweep = sweep_voltage(nominal_board, spec.build, voltages_v)
-                dispersion = measure_family_dispersion(bank, spec.build)
-                own = segments[index * len(lengths) : (index + 1) * len(lengths)]
-                periods = np.concatenate(
-                    [np.asarray(segment, dtype=float) for segment in own]
-                )
-                results.append(
-                    _assemble_result(spec, ring, sweep, dispersion, periods, q_target)
-                )
-            _log.info("campaign.complete", rings=len(results), path="batch")
-            return CampaignReport(
-                results=results,
-                voltages_v=[float(v) for v in voltages_v],
-                board_count=len(bank),
-                q_target=q_target,
-            )
-        tasks = _campaign_tasks(specs, rings, lengths, spec_seeds)
+        tasks = _campaign_tasks(specs, rings, lengths, seed)
         tele.set("segments", len(tasks))
-        segments = run_grid(
-            tasks,
-            _campaign_segment_worker,
-            jobs=jobs,
-            cache=cache,
-            progress=progress,
-            stats=stats,
-        )
+        if backend == "batch":
+            segments = _campaign_segments_batch(tasks)
+        else:
+            segments = run_grid(
+                tasks,
+                _campaign_segment_worker,
+                jobs=jobs,
+                cache=cache,
+                progress=progress,
+                stats=stats,
+            )
 
         results: List[RingCampaignResult] = []
         for index, (spec, ring) in enumerate(zip(specs, rings)):
@@ -399,65 +358,15 @@ def run_campaign(
             results.append(
                 _assemble_result(spec, ring, sweep, dispersion, periods, q_target)
             )
-        _log.info("campaign.complete", rings=len(results), segments=len(tasks))
+        _log.info(
+            "campaign.complete", rings=len(results), segments=len(tasks), backend=backend
+        )
         return CampaignReport(
             results=results,
             voltages_v=[float(v) for v in voltages_v],
             board_count=len(bank),
             q_target=q_target,
         )
-
-
-def _run_campaign_legacy(
-    specs: Sequence[RingSpec],
-    bank: BoardBank,
-    voltages_v: Sequence[float],
-    jitter_periods: int,
-    q_target: float,
-    seed: SeedLike,
-) -> CampaignReport:
-    """The pre-parallel campaign loop, kept bit-compatible for ``seed_mode="shared"``."""
-    nominal_board = bank[0]
-    results: List[RingCampaignResult] = []
-    for spec in specs:
-        sweep = sweep_voltage(nominal_board, spec.build, voltages_v)
-        dispersion = measure_family_dispersion(bank, spec.build)
-        ring = spec.build(nominal_board)
-        jitter = measure_period_jitter(
-            ring,
-            method="population",
-            period_count=jitter_periods,
-            seed=seed,
-            warmup_periods=CAMPAIGN_WARMUP_PERIODS,
-        )
-        periods = ring.simulate(
-            jitter_periods, seed=seed, warmup_periods=CAMPAIGN_WARMUP_PERIODS
-        ).trace.periods_ps()
-        diffusion = accumulation_profile(periods).diffusion_sigma_ps
-        reference = reference_period_for_q(
-            ring.predicted_period_ps(), diffusion, q_target
-        )
-        q_reached = q_target  # by construction of the reference period
-        results.append(
-            RingCampaignResult(
-                label=spec.label,
-                nominal_frequency_mhz=ring.predicted_frequency_mhz(),
-                delta_f=float(sweep.excursion()),
-                linearity_r2=float(sweep.linearity()),
-                sigma_rel=float(dispersion.sigma_rel),
-                board_frequencies_mhz=[float(f) for f in dispersion.frequencies_mhz],
-                period_jitter_ps=float(jitter.sigma_period_ps),
-                diffusion_sigma_ps=float(diffusion),
-                trng_reference_period_ps=float(reference),
-                trng_entropy_bound=float(predicted_shannon_entropy(q_reached)),
-            )
-        )
-    return CampaignReport(
-        results=results,
-        voltages_v=[float(v) for v in voltages_v],
-        board_count=len(bank),
-        q_target=q_target,
-    )
 
 
 def campaign_workload(
@@ -539,9 +448,8 @@ def run_campaign_shard(
         raise ValueError("need at least one ring spec")
     bank = BoardBank.manufacture(board_count=board_count, seed=bank_seed)
     rings = [spec.build(bank[0]) for spec in specs]
-    spec_seeds = spawn_seeds(seed, len(specs))
     lengths = _segment_lengths(jitter_periods, segment_periods)
-    tasks = _campaign_tasks(specs, rings, lengths, spec_seeds)
+    tasks = _campaign_tasks(specs, rings, lengths, seed)
     workload = campaign_workload(
         specs,
         board_count=board_count,

@@ -48,22 +48,6 @@ _log = get_logger("repro.core.characterization")
 #: Resolves a ring oscillator on a board.
 RingBuilder = Callable[[Board], RingOscillator]
 
-#: Seed-handling modes of the grid campaigns.  ``"spawn"`` derives one
-#: independent child seed per grid point (the fix for the historical
-#: noise-stream correlation across boards/voltages); ``"shared"`` keeps
-#: the legacy behaviour of passing the root seed to every point.
-SEED_MODES = ("spawn", "shared")
-
-
-def _point_seeds(seed: SeedLike, count: int, seed_mode: str) -> List[Optional[int]]:
-    """Per-grid-point seeds under the chosen mode (see :data:`SEED_MODES`)."""
-    if seed_mode not in SEED_MODES:
-        raise ValueError(f"seed_mode must be one of {SEED_MODES}, got {seed_mode!r}")
-    if seed_mode == "spawn":
-        return spawn_seeds(seed, count)
-    return [seed] * count  # type: ignore[list-item]
-
-
 def _measure_frequency_worker(task: GridTask) -> float:
     """Grid worker: mean event-driven frequency of one resolved ring."""
     payload = task.payload
@@ -115,10 +99,9 @@ def sweep_voltage(
     voltages_v: Sequence[float],
     measure: bool = False,
     period_count: int = 64,
-    seed: SeedLike = 0,
+    seed: Optional[int] = 0,
     jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
-    seed_mode: str = "spawn",
 ) -> VoltageSweepResult:
     """Sweep the core supply and record the ring frequency at each point.
 
@@ -126,9 +109,8 @@ def sweep_voltage(
     ``measure=True`` runs the event-driven simulation at each point, as a
     real campaign would.  Measured sweeps fan out over ``jobs`` worker
     processes and consult the result ``cache``; each voltage point gets
-    its own derived seed unless ``seed_mode="shared"`` requests the
-    legacy single-seed behaviour.  Passing a ``numpy.random.Generator``
-    as ``seed`` implies the legacy shared-stream serial path.
+    its own seed spawned from the integer root ``seed`` (a
+    ``numpy.random.Generator`` raises ``TypeError``).
     """
     if len(voltages_v) < 2:
         raise ValueError("a sweep needs at least two voltage points")
@@ -140,14 +122,8 @@ def sweep_voltage(
         name = rings[-1].name
         if not measure:
             frequencies = [ring.predicted_frequency_mhz() for ring in rings]
-        elif isinstance(seed, np.random.Generator):
-            # Legacy coupled-stream path: one shared generator, strictly serial.
-            frequencies = [
-                ring.measure_frequency_mhz(period_count=period_count, seed=seed)
-                for ring in rings
-            ]
         else:
-            seeds = _point_seeds(seed, len(rings), seed_mode)
+            seeds = spawn_seeds(seed, len(rings))
             tasks = [
                 GridTask(
                     kind="sweep_point",
@@ -196,17 +172,16 @@ def measure_family_dispersion(
     ring_builder: RingBuilder,
     measure: bool = False,
     period_count: int = 64,
-    seed: SeedLike = 0,
+    seed: Optional[int] = 0,
     jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
-    seed_mode: str = "spawn",
 ) -> FamilyDispersionResult:
     """Send the same "bitstream" to every board and compare frequencies.
 
     Measured runs parallelize across boards (``jobs``) with per-board
-    derived seeds — the historical shared seed made every board see the
-    same noise stream, understating the dispersion of measured
-    frequencies; ``seed_mode="shared"`` restores that behaviour.
+    seeds spawned from the integer root ``seed``, so no two boards see
+    the same noise stream (a ``numpy.random.Generator`` raises
+    ``TypeError``).
     """
     with span("family_dispersion", boards=len(bank), measured=bool(measure)):
         rings = [ring_builder(board) for board in bank]
@@ -214,13 +189,8 @@ def measure_family_dispersion(
         ring_name = rings[-1].name
         if not measure:
             frequencies = [ring.predicted_frequency_mhz() for ring in rings]
-        elif isinstance(seed, np.random.Generator):
-            frequencies = [
-                ring.measure_frequency_mhz(period_count=period_count, seed=seed)
-                for ring in rings
-            ]
         else:
-            seeds = _point_seeds(seed, len(rings), seed_mode)
+            seeds = spawn_seeds(seed, len(rings))
             tasks = [
                 GridTask(
                     kind="dispersion_point",
@@ -457,20 +427,19 @@ def jitter_versus_length(
     ring_family: str,
     method: str = "population",
     period_count: int = 4096,
-    seed: SeedLike = 0,
+    seed: Optional[int] = 0,
     jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
-    seed_mode: str = "spawn",
     backend: str = "event",
 ) -> List[JitterMeasurementResult]:
     """Period jitter as a function of ring length (Figs. 11 and 12).
 
-    ``backend="event"`` fans one grid task per ring length out over
-    ``jobs`` processes; lengths get independent derived seeds
-    (``seed_mode="shared"`` keeps the legacy behaviour of reusing the
-    root seed at every length).  ``backend="batch"`` advances every
-    length in one vectorized kernel call instead (``jobs``/``cache`` are
-    ignored — the kernel outruns the process pool by a wide margin).
+    Every length gets its own seed spawned from the integer root
+    ``seed`` (a ``numpy.random.Generator`` raises ``TypeError``), on
+    either backend.  ``backend="event"`` fans one grid task per ring
+    length out over ``jobs`` processes.  ``backend="batch"`` advances
+    every length in one vectorized kernel call instead (``jobs``/``cache``
+    are ignored — the kernel outruns the process pool by a wide margin).
     """
     from repro.rings.iro import InverterRingOscillator
     from repro.rings.str_ring import SelfTimedRing
@@ -494,13 +463,7 @@ def jitter_versus_length(
                 rings.append(InverterRingOscillator.on_board(board, length))
             else:
                 rings.append(SelfTimedRing.on_board(board, length))
-        if isinstance(seed, np.random.Generator):
-            # Legacy coupled-stream path: one shared generator, serial, event-only.
-            return [
-                measure_period_jitter(ring, method=method, period_count=period_count, seed=seed)
-                for ring in rings
-            ]
-        seeds = _point_seeds(seed, len(rings), seed_mode)
+        seeds = spawn_seeds(seed, len(rings))
         if backend == "batch":
             results = _jitter_versus_length_batch(
                 rings, ring_family, method, period_count, seeds
@@ -521,14 +484,14 @@ def jitter_versus_length(
                     "family": ring_family,
                     "method": method,
                     "period_count": period_count,
-                    "warmup_periods": 64,
+                    "warmup_periods": _JITTER_WARMUP_PERIODS,
                 },
                 seed=point_seed,
                 payload={
                     "ring": ring,
                     "method": method,
                     "period_count": period_count,
-                    "warmup_periods": 64,
+                    "warmup_periods": _JITTER_WARMUP_PERIODS,
                 },
             )
             for ring, length, point_seed in zip(rings, lengths, seeds)

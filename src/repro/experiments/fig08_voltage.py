@@ -40,19 +40,12 @@ def run(
     board: Optional[Board] = None,
     voltages_v: Sequence[float] = tuple(np.round(np.arange(1.0, 1.401, 0.05), 3)),
     rings: Sequence[Tuple[str, int]] = FIG8_RINGS,
-    jobs: Optional[int] = 1,
-    cache=None,
 ) -> ExperimentResult:
-    """Reproduce the Fig. 8 normalized-frequency sweep.
-
-    ``jobs``/``cache`` are forwarded to the sweep driver; they only
-    matter for measured (event-driven) sweeps — this reproduction uses
-    the instant analytic path.
-    """
+    """Reproduce the Fig. 8 normalized-frequency sweep (analytic path)."""
     board = board if board is not None else Board()
     sweeps: Dict[str, VoltageSweepResult] = {}
     for kind, stage_count in rings:
-        sweep = sweep_voltage(board, _builder(kind, stage_count), voltages_v, jobs=jobs, cache=cache)
+        sweep = sweep_voltage(board, _builder(kind, stage_count), voltages_v)
         sweeps[sweep.ring_name] = sweep
 
     names = list(sweeps)

@@ -28,15 +28,8 @@ def run(
     bank: Optional[BoardBank] = None,
     seed: int = 7,
     targets: Sequence[Table2Row] = TABLE2_TARGETS,
-    jobs: Optional[int] = 1,
-    cache=None,
 ) -> ExperimentResult:
-    """Reproduce Table II on a simulated board bank.
-
-    ``jobs``/``cache`` are forwarded to the dispersion driver; they only
-    matter for measured (event-driven) dispersion runs — the analytic
-    path used here is instant either way.
-    """
+    """Reproduce Table II on a simulated board bank (analytic path)."""
     bank = bank if bank is not None else BoardBank.manufacture(board_count=5, seed=seed)
     rows: List[Tuple] = []
     measured = {}
@@ -45,7 +38,7 @@ def run(
             builder = lambda b, L=target.stage_count: InverterRingOscillator.on_board(b, L)
         else:
             builder = lambda b, L=target.stage_count: SelfTimedRing.on_board(b, L)
-        dispersion = measure_family_dispersion(bank, builder, jobs=jobs, cache=cache)
+        dispersion = measure_family_dispersion(bank, builder)
         label = f"{target.kind.upper()} {target.stage_count}C"
         measured[label] = dispersion
         rows.append(

@@ -20,7 +20,8 @@ enough to load-balance heterogeneous grids (an STR 96C point costs
 If the pool cannot be used at all — ``jobs=1``, a sandbox without
 semaphores, an unpicklable worker or payload — the executor falls back
 to the serial path, recomputing any pending task.  Determinism makes
-the fallback free of consistency concerns.
+the fallback free of consistency concerns; a pool that fails is counted
+in ``repro.parallel.pool_fallbacks`` and logged as a warning.
 """
 
 from __future__ import annotations
@@ -40,11 +41,14 @@ from repro.telemetry import (
     current_span_id,
     default_registry,
     emit_raw,
+    get_logger,
     sink_enabled,
     span,
     use_registry,
     use_sink,
 )
+
+_log = get_logger("repro.parallel.executor")
 
 #: Called after each completed task with (done_count, total_count).
 ProgressCallback = Callable[[int, int], None]
@@ -287,9 +291,11 @@ def _run_parallel(
     """Try the pool; return False to request the serial fallback.
 
     Any pool-layer failure — pickling, a broken worker process, an
-    environment without multiprocessing primitives — abandons the pool.
-    Genuine worker exceptions simply reproduce on the serial retry (the
-    computation is deterministic), so nothing is silently swallowed.
+    environment without multiprocessing primitives — abandons the pool,
+    counted in ``repro.parallel.pool_fallbacks`` and logged as a
+    warning naming the exception type.  Genuine worker exceptions simply
+    reproduce on the serial retry (the computation is deterministic), so
+    nothing is silently swallowed.
 
     Each completed chunk ships its worker-side metrics snapshot home
     (merged into the parent's default registry) and, when the parent is
@@ -335,6 +341,10 @@ def _run_parallel(
                 done += len(chunk)
                 if progress is not None:
                     progress(done, total)
-    except Exception:
+    except Exception as error:
+        registry.counter("repro.parallel.pool_fallbacks").inc()
+        _log.warning(
+            "executor.pool_fallback", error=type(error).__name__, pending=len(pending)
+        )
         return False
     return True

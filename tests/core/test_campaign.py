@@ -3,14 +3,22 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from repro.core.campaign import (
     CampaignReport,
     RingCampaignResult,
     RingSpec,
+    _segment_lengths,
     run_campaign,
 )
+from repro.core.characterization import (
+    jitter_versus_length,
+    measure_family_dispersion,
+    sweep_voltage,
+)
+from repro.rings.iro import InverterRingOscillator
 
 
 class TestRingSpec:
@@ -87,6 +95,59 @@ class TestRunCampaign:
     def test_empty_specs_rejected(self, bank):
         with pytest.raises(ValueError):
             run_campaign([], bank=bank)
+
+
+class TestSegmentLengths:
+    def test_single_period_budget_rejected(self):
+        with pytest.raises(ValueError):
+            _segment_lengths(1, 512)
+
+    @pytest.mark.parametrize("total", [2, 511, 513, 1024, 1100])
+    def test_lengths_cover_budget(self, total):
+        lengths = _segment_lengths(total, 512)
+        assert sum(lengths) == total
+        assert min(lengths) >= 2
+
+
+def _iro5(board):
+    return InverterRingOscillator.on_board(board, 5)
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [
+        lambda seed, board, bank: sweep_voltage(
+            board, _iro5, [1.0, 1.2], measure=True, seed=seed
+        ),
+        lambda seed, board, bank: measure_family_dispersion(
+            bank, _iro5, measure=True, seed=seed
+        ),
+        lambda seed, board, bank: jitter_versus_length(
+            board, [3, 5], "iro", seed=seed, backend="event"
+        ),
+        lambda seed, board, bank: jitter_versus_length(
+            board, [3, 5], "iro", seed=seed, backend="batch"
+        ),
+        lambda seed, board, bank: run_campaign(
+            [RingSpec("iro", 5)], bank=bank, seed=seed, backend="event"
+        ),
+        lambda seed, board, bank: run_campaign(
+            [RingSpec("iro", 5)], bank=bank, seed=seed, backend="batch"
+        ),
+    ],
+    ids=[
+        "sweep_voltage",
+        "family_dispersion",
+        "jitter_versus_length-event",
+        "jitter_versus_length-batch",
+        "run_campaign-event",
+        "run_campaign-batch",
+    ],
+)
+def test_generator_root_seed_raises(drive, board, bank):
+    """Grid drivers take integer root seeds only; a Generator fails loudly."""
+    with pytest.raises(TypeError):
+        drive(np.random.default_rng(0), board, bank)
 
 
 def _synthetic_result(label: str, frequency_mhz: float) -> RingCampaignResult:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import GridTask, ResultCache, resolve_jobs, run_grid
+from repro.telemetry import default_registry
 
 
 def _square_worker(task):
@@ -56,10 +57,13 @@ class TestRunGrid:
 
     def test_unpicklable_worker_falls_back_to_serial(self):
         offset = 7
+        fallbacks = default_registry().counter("repro.parallel.pool_fallbacks")
+        before = fallbacks.value
         results = run_grid(
             _tasks(4), lambda task: task.seed + offset, jobs=4
         )
         assert results == [7, 8, 9, 10]
+        assert fallbacks.value == before + 1
 
     def test_chunk_size_override(self):
         results = run_grid(_tasks(10), _square_worker, jobs=2, chunk_size=3)
