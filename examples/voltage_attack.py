@@ -17,7 +17,7 @@ import numpy as np
 
 from repro import Board, InverterRingOscillator, SelfTimedRing, SupplySpec
 from repro.trng.attacks import SupplyAttack, measure_deterministic_response
-from repro.trng.elementary import predicted_shannon_entropy, quality_factor
+from repro.trng.phasewalk import predicted_shannon_entropy, quality_factor
 
 
 def static_attack(board: Board) -> None:

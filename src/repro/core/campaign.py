@@ -27,8 +27,7 @@ from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
 from repro.stats.accumulation import accumulation_profile
 from repro.telemetry import get_logger, span
-from repro.trng.elementary import predicted_shannon_entropy
-from repro.trng.phasewalk import reference_period_for_q
+from repro.trng.phasewalk import predicted_shannon_entropy, reference_period_for_q
 
 _log = get_logger("repro.core.campaign")
 

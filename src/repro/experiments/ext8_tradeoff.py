@@ -30,7 +30,7 @@ from repro.fpga.board import Board
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
 from repro.stats.accumulation import accumulation_profile
-from repro.trng.elementary import predicted_shannon_entropy, quality_factor
+from repro.trng.phasewalk import predicted_shannon_entropy, quality_factor, reference_period_for_q
 
 
 def _entropy_at(
@@ -81,13 +81,15 @@ def run(
             row.append(_entropy_at(reference, period, sigma, divisor))
         rows.append(tuple(row))
 
+    # Invert H(Q) = target for Q, then Q for T_ref (a virtual-L sampler
+    # reaches it L^2 sooner).
+    q_needed = -math.log(
+        (1.0 - entropy_target) * math.pi**2 * math.log(2.0) / 4.0
+    ) / (4.0 * math.pi**2)
+
     def reference_for_target(name: str) -> float:
         period, sigma, divisor = designs[name]
-        # Invert H(Q) = target for Q, then Q for T_ref.
-        q_needed = -math.log(
-            (1.0 - entropy_target) * math.pi**2 * math.log(2.0) / 4.0
-        ) / (4.0 * math.pi**2)
-        return q_needed * period**3 / (sigma**2 * divisor**2)
+        return reference_period_for_q(period, sigma, q_needed) / divisor**2
 
     crossings = {name: reference_for_target(name) for name in designs}
     iro_cross = crossings["IRO 5C elementary"]
@@ -97,12 +99,7 @@ def run(
     # The multi-phase sampler uses the *same ring family*; compare it to
     # an elementary sampler on its own ring for the clean L^2 statement.
     period63, sigma63, _ = designs[f"STR {multiphase_stages}C multi-phase"]
-    elementary63_cross = (
-        -math.log((1.0 - entropy_target) * math.pi**2 * math.log(2.0) / 4.0)
-        / (4.0 * math.pi**2)
-        * period63**3
-        / sigma63**2
-    )
+    elementary63_cross = reference_period_for_q(period63, sigma63, q_needed)
     multiphase_speedup = elementary63_cross / multi_cross
 
     curves_monotone = all(

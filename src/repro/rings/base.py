@@ -75,6 +75,11 @@ class RingOscillator(abc.ABC):
     def predicted_period_jitter_ps(self) -> float:
         """Period jitter predicted by the paper's model (Eq. 4 or 5)."""
 
+    @property
+    @abc.abstractmethod
+    def mean_supply_weight(self) -> float:
+        """Relative response of the ring period to supply delay modulation."""
+
     # ------------------------------------------------------------------
     # fast statistical layer
     # ------------------------------------------------------------------

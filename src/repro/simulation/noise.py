@@ -137,6 +137,15 @@ class DeterministicModulation(abc.ABC):
         """Vectorized :meth:`factor`; subclasses override for speed."""
         return np.array([self.factor(float(t)) for t in np.asarray(times_ps)])
 
+    @abc.abstractmethod
+    def integral_array(self, times_ps: np.ndarray) -> np.ndarray:
+        """Exact ``integral_0^t factor(s) ds`` at each time, in ps.
+
+        The phase models need the accumulated delay modulation between
+        samples far apart against the modulation period; a closed form
+        cannot alias the way a sampled quadrature does.
+        """
+
 
 class ConstantModulation(DeterministicModulation):
     """A time-independent delay scale (e.g. a static voltage offset)."""
@@ -149,6 +158,9 @@ class ConstantModulation(DeterministicModulation):
 
     def factor_array(self, times_ps: np.ndarray) -> np.ndarray:
         return np.full(np.asarray(times_ps).shape, self._factor)
+
+    def integral_array(self, times_ps: np.ndarray) -> np.ndarray:
+        return self._factor * np.asarray(times_ps, dtype=float)
 
     def __repr__(self) -> str:
         return f"ConstantModulation({self._factor})"
@@ -179,6 +191,12 @@ class SinusoidalModulation(DeterministicModulation):
         times = np.asarray(times_ps, dtype=float)
         return self.amplitude * np.sin(2.0 * np.pi * times / self.period_ps + self.phase_rad)
 
+    def integral_array(self, times_ps: np.ndarray) -> np.ndarray:
+        times = np.asarray(times_ps, dtype=float)
+        angle = 2.0 * np.pi * times / self.period_ps + self.phase_rad
+        scale = self.amplitude * self.period_ps / (2.0 * np.pi)
+        return scale * (np.cos(self.phase_rad) - np.cos(angle))
+
     def __repr__(self) -> str:
         return (
             f"SinusoidalModulation(amplitude={self.amplitude}, "
@@ -200,6 +218,12 @@ class StepModulation(DeterministicModulation):
     def factor_array(self, times_ps: np.ndarray) -> np.ndarray:
         times = np.asarray(times_ps, dtype=float)
         return np.where(times >= self.step_time_ps, self.factor_after, self.factor_before)
+
+    def integral_array(self, times_ps: np.ndarray) -> np.ndarray:
+        times = np.asarray(times_ps, dtype=float)
+        jump = self.factor_after - self.factor_before
+        after = np.clip(times - self.step_time_ps, 0.0, None) - max(0.0, -self.step_time_ps)
+        return self.factor_before * times + jump * after
 
     def __repr__(self) -> str:
         return (
@@ -223,6 +247,12 @@ class RampModulation(DeterministicModulation):
         times = np.asarray(times_ps, dtype=float)
         return self.slope_per_ps * np.clip(times - self.start_time_ps, 0.0, None)
 
+    def integral_array(self, times_ps: np.ndarray) -> np.ndarray:
+        times = np.asarray(times_ps, dtype=float)
+        elapsed = np.clip(times - self.start_time_ps, 0.0, None)
+        before_zero = max(0.0, -self.start_time_ps)
+        return 0.5 * self.slope_per_ps * (elapsed**2 - before_zero**2)
+
     def __repr__(self) -> str:
         return f"RampModulation(slope_per_ps={self.slope_per_ps}, start_time_ps={self.start_time_ps})"
 
@@ -241,6 +271,13 @@ class CompositeModulation(DeterministicModulation):
         total = np.zeros(times.shape)
         for component in self._components:
             total = total + component.factor_array(times)
+        return total
+
+    def integral_array(self, times_ps: np.ndarray) -> np.ndarray:
+        times = np.asarray(times_ps, dtype=float)
+        total = np.zeros(times.shape)
+        for component in self._components:
+            total = total + component.integral_array(times)
         return total
 
     @property

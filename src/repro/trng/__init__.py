@@ -5,8 +5,10 @@ subpackage is the downstream consumer that makes the comparison concrete:
 
 * :mod:`repro.trng.sampler` — a D flip-flop sampling a jittery clock on a
   reference clock (the elementary extraction mechanism).
-* :mod:`repro.trng.elementary` — the elementary oscillator-based TRNG,
-  with the standard entropy lower-bound model.
+* :mod:`repro.trng.phasewalk` — the phase-random-walk core every fast
+  ring-sampling model draws from, with the quality factor ``Q`` and the
+  standard entropy lower-bound model.
+* :mod:`repro.trng.elementary` — the elementary oscillator-based TRNG.
 * :mod:`repro.trng.coherent` — a coherent-sampling TRNG (the paper's
   reference [7]), whose feasibility depends on narrow extra-device
   frequency dispersion — the STR's strong suit.
@@ -20,8 +22,9 @@ subpackage is the downstream consumer that makes the comparison concrete:
 """
 
 from repro.trng.sampler import JitteryClock, sample_clock_at
-from repro.trng.elementary import ElementaryTrng, quality_factor, predicted_shannon_entropy
-from repro.trng.phasewalk import PhaseWalkTrng, reference_period_for_q
+from repro.trng.elementary import ElementaryTrng
+from repro.trng.phasewalk import PhaseWalkTrng, quality_factor, predicted_shannon_entropy
+from repro.trng.phasewalk import reference_period_for_q
 from repro.trng.multiphase import (
     MultiphaseStrTrng,
     MultiphaseModel,

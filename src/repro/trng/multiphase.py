@@ -21,8 +21,10 @@ Two evaluation paths, mirroring the ring models:
 
 * :class:`MultiphaseStrTrng` — exact: event-driven simulation of all
   stages, bits from the merged toggle comb;
-* :class:`MultiphaseModel` — fast: the comb's phase performs a random
-  walk with the ring's measured diffusion rate; O(1) per bit.
+* :class:`MultiphaseModel` — fast: the :class:`PhaseWalkTrng` of the
+  virtual oscillator, whose period ``T / L`` accumulates the ring's
+  measured diffusion variance ``sigma_d^2`` per ring period, i.e.
+  ``sigma_d^2 / L`` per virtual period; O(1) per bit.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ from typing import Optional
 
 import numpy as np
 
+from repro.rings.base import RingOscillator
 from repro.rings.str_ring import SelfTimedRing
 from repro.simulation.noise import SeedLike, make_rng
 from repro.stats.accumulation import accumulation_profile
-from repro.trng.elementary import predicted_shannon_entropy
+from repro.trng.phasewalk import PhaseWalkTrng, predicted_shannon_entropy, quality_factor
+from repro.trng.phasewalk import reference_period_for_q
 
 
 def validate_multiphase_configuration(stage_count: int, token_count: int) -> None:
@@ -76,16 +80,24 @@ class MultiphaseDesignPoint:
         return self.period_ps / self.stage_count
 
     @property
+    def virtual_jitter_ps(self) -> float:
+        """Per-virtual-period jitter, ``sigma_d / sqrt(L)``.
+
+        ``L`` virtual periods span one ring period and together accumulate
+        its diffusion variance ``sigma_d^2``.
+        """
+        return self.diffusion_sigma_ps / math.sqrt(self.stage_count)
+
+    @property
     def q_factor(self) -> float:
         """Quality factor of the virtual oscillator.
 
-        Accumulated timing variance per sample over the *virtual* period
-        squared — the multi-phase analogue of the elementary TRNG's Q,
-        larger by ``L^2`` at equal reference period.
+        The multi-phase analogue of the elementary TRNG's Q, larger by
+        ``L^2`` at equal reference period.
         """
-        periods_per_sample = self.reference_period_ps / self.period_ps
-        accumulated_variance = periods_per_sample * self.diffusion_sigma_ps**2
-        return accumulated_variance / self.virtual_period_ps**2
+        return quality_factor(
+            self.virtual_jitter_ps, self.virtual_period_ps, self.reference_period_ps
+        )
 
     @property
     def entropy_bound(self) -> float:
@@ -98,15 +110,16 @@ class MultiphaseDesignPoint:
 
 
 def measure_diffusion_sigma_ps(
-    ring: SelfTimedRing, period_count: int = 4096, seed: SeedLike = 0
+    ring: RingOscillator, period_count: int = 4096, seed: SeedLike = 0
 ) -> float:
     """Long-run phase diffusion rate of the ring, in ps per sqrt(period).
 
     The quantity that actually accumulates between TRNG samples: STR
     periods are anticorrelated, so this sits *below* the single-period
-    sigma (see the FIG10 experiment notes).
+    sigma (see the FIG10 experiment notes).  Measured on the batch
+    kernel, which the phase walk takes as its oracle.
     """
-    result = ring.simulate(period_count, seed=seed)
+    result = ring.simulate(period_count, seed=seed, backend="batch")
     profile = accumulation_profile(result.trace.periods_ps())
     return profile.diffusion_sigma_ps
 
@@ -187,10 +200,12 @@ class MultiphaseStrTrng:
 
 
 class MultiphaseModel:
-    """Fast phase-walk model of the multi-phase sampler.
+    """Fast model of the multi-phase sampler.
 
-    The comb position wanders with the ring's collective diffusion; one
-    output bit is the parity of the tick count at the sampling instant.
+    The XOR output is the parity of the comb ticks elapsed, i.e. the level
+    of a virtual oscillator of period ``T / L`` — high on its odd comb
+    intervals, where the phase walk's convention reads low — so the bits
+    are the inverted :class:`PhaseWalkTrng` bits of that oscillator.
     """
 
     def __init__(
@@ -200,18 +215,17 @@ class MultiphaseModel:
         diffusion_sigma_ps: float,
         reference_period_ps: float,
     ) -> None:
-        if period_ps <= 0.0:
-            raise ValueError(f"period must be positive, got {period_ps}")
         if stage_count < 3:
             raise ValueError(f"need at least 3 stages, got {stage_count}")
-        if diffusion_sigma_ps < 0.0:
-            raise ValueError(f"diffusion sigma must be non-negative, got {diffusion_sigma_ps}")
-        if reference_period_ps <= period_ps:
-            raise ValueError("reference period must exceed the oscillation period")
         self.period_ps = float(period_ps)
         self.stage_count = int(stage_count)
         self.diffusion_sigma_ps = float(diffusion_sigma_ps)
         self.reference_period_ps = float(reference_period_ps)
+        point = self.design_point()
+        # No supply term: the comb model takes no modulation.
+        self._walk = PhaseWalkTrng(
+            point.virtual_period_ps, point.virtual_jitter_ps, 0.0, self.reference_period_ps
+        )
 
     @classmethod
     def from_ring(
@@ -240,18 +254,8 @@ class MultiphaseModel:
         )
 
     def generate(self, bit_count: int, seed: SeedLike = None) -> np.ndarray:
-        """O(1)-per-bit generation through the comb phase walk."""
-        if bit_count < 1:
-            raise ValueError(f"bit count must be positive, got {bit_count}")
-        rng = make_rng(seed)
-        spacing = self.period_ps / (2.0 * self.stage_count)
-        periods_per_sample = self.reference_period_ps / self.period_ps
-        wander_sigma = self.diffusion_sigma_ps * math.sqrt(periods_per_sample)
-        nominal_times = self.reference_period_ps * np.arange(1, bit_count + 1)
-        wander = np.cumsum(rng.normal(0.0, wander_sigma, size=bit_count))
-        offset = float(rng.uniform(0.0, 2.0 * spacing))
-        counts = np.floor((nominal_times + wander + offset) / spacing).astype(np.int64)
-        return (counts % 2).astype(int)
+        """O(1)-per-bit generation through the virtual oscillator's walk."""
+        return 1 - self._walk.generate(bit_count, seed=seed)
 
 
 def reference_period_for_multiphase_q(
@@ -265,9 +269,6 @@ def reference_period_for_multiphase_q(
     ``L^2`` shorter than the elementary sampler's provisioning for the
     same oscillator — the throughput argument of the follow-up design.
     """
-    if q_target <= 0.0:
-        raise ValueError(f"Q target must be positive, got {q_target}")
-    if diffusion_sigma_ps <= 0.0:
-        raise ValueError("a jitter-free oscillator cannot reach any Q target")
-    virtual_period = period_ps / stage_count
-    return q_target * virtual_period**2 * period_ps / diffusion_sigma_ps**2
+    return reference_period_for_q(
+        period_ps / stage_count, diffusion_sigma_ps / math.sqrt(stage_count), q_target
+    )

@@ -1,4 +1,4 @@
-"""Phase-random-walk model of the elementary TRNG (fast path).
+"""The phase-random-walk core of the fast TRNG models.
 
 For realistic operating points the reference clock is four to five
 orders of magnitude slower than the ring (a ~300 MHz ring sampled at a
@@ -13,12 +13,17 @@ only the oscillator *phase* at the sampling instants:
     bit_k = 1  iff  frac(phi_k) < 1/2
 
 with ``N = T_ref / T`` periods per sample.  One output bit costs O(1)
-regardless of how slow the reference is.
+regardless of how slow the reference is; the supply integral is exact
+(:meth:`DeterministicModulation.integral_array`), so a ripple faster than
+the reference cannot alias.  The elementary, XOR-of-rings and multi-phase
+(virtual oscillator) designs all sample this walk; coherent sampling
+keeps its edge timeline, as it samples at another ring's jittery edges.
 
-The deterministic and random contributions are kept separate, which is
-what the attack experiments need: an attacker who knows the injected
-waveform can reproduce the deterministic phase exactly, so only the
-random term protects the generator (Section IV of the paper, after [2]).
+The random increment's variance is the *quality factor* ``Q`` (Baudet
+et al., the paper's reference [2] lineage), with the Shannon-entropy
+lower bound per bit ``H >= 1 - (4 / (pi^2 ln 2)) exp(-4 pi^2 Q)``.  Only
+the random jitter counts: an attacker who knows the injected waveform
+reproduces the deterministic phase exactly (Section IV, after [2]).
 """
 
 from __future__ import annotations
@@ -32,8 +37,45 @@ from repro.rings.base import RingOscillator
 from repro.simulation.noise import DeterministicModulation, SeedLike, make_rng
 
 
+def quality_factor(
+    period_jitter_ps: float, oscillator_period_ps: float, reference_period_ps: float
+) -> float:
+    """``Q = N sigma_p^2 / T_osc^2`` for the given operating point."""
+    if period_jitter_ps < 0.0:
+        raise ValueError(f"period jitter must be non-negative, got {period_jitter_ps}")
+    if oscillator_period_ps <= 0.0 or reference_period_ps <= 0.0:
+        raise ValueError("periods must be positive")
+    periods_per_sample = reference_period_ps / oscillator_period_ps
+    accumulated_variance = periods_per_sample * period_jitter_ps**2
+    return accumulated_variance / oscillator_period_ps**2
+
+
+def predicted_shannon_entropy(q_factor: float) -> float:
+    """Shannon-entropy lower bound per bit for a quality factor ``Q``."""
+    if q_factor < 0.0:
+        raise ValueError(f"quality factor must be non-negative, got {q_factor}")
+    bound = 1.0 - (4.0 / (math.pi**2 * math.log(2.0))) * math.exp(-4.0 * math.pi**2 * q_factor)
+    return max(0.0, bound)
+
+
+def reference_period_for_q(
+    period_ps: float, period_jitter_ps: float, q_target: float
+) -> float:
+    """Reference period achieving a target quality factor ``Q``.
+
+    Inverts :func:`quality_factor` for ``T_ref`` — the provisioning rule
+    a designer uses once the entropy source is characterized, and the
+    reason the paper's sigma measurements matter.
+    """
+    if q_target <= 0.0:
+        raise ValueError(f"Q target must be positive, got {q_target}")
+    if period_jitter_ps <= 0.0:
+        raise ValueError("a jitter-free oscillator cannot reach any Q target")
+    return q_target * period_ps**3 / period_jitter_ps**2
+
+
 class PhaseWalkTrng:
-    """Elementary TRNG evaluated through the phase-random-walk model.
+    """A ring sampled by a reference clock, as a phase random walk.
 
     Parameters
     ----------
@@ -75,11 +117,10 @@ class PhaseWalkTrng:
     @classmethod
     def from_ring(cls, ring: RingOscillator, reference_period_ps: float) -> "PhaseWalkTrng":
         """Build the model from a resolved ring's analytical figures."""
-        weight = getattr(ring, "mean_supply_weight", 1.0)
         return cls(
             period_ps=ring.predicted_period_ps(),
             period_jitter_ps=ring.predicted_period_jitter_ps(),
-            supply_weight=weight,
+            supply_weight=ring.mean_supply_weight,
             reference_period_ps=reference_period_ps,
         )
 
@@ -91,15 +132,14 @@ class PhaseWalkTrng:
         return self.reference_period_ps / self.period_ps
 
     @property
-    def phase_sigma_per_sample(self) -> float:
-        """Std of the random phase increment per sample, in periods."""
-        accumulated_variance = self.periods_per_sample * self.period_jitter_ps**2
-        return math.sqrt(accumulated_variance) / self.period_ps
+    def q_factor(self) -> float:
+        """The entropy quality factor (:func:`quality_factor`)."""
+        return quality_factor(self.period_jitter_ps, self.period_ps, self.reference_period_ps)
 
     @property
-    def q_factor(self) -> float:
-        """The entropy quality factor ``Q = N sigma_p^2 / T^2``."""
-        return self.phase_sigma_per_sample**2
+    def phase_sigma_per_sample(self) -> float:
+        """Std of the random phase increment per sample, in periods."""
+        return math.sqrt(self.q_factor)
 
     # ------------------------------------------------------------------
     # phase trajectories
@@ -109,29 +149,17 @@ class PhaseWalkTrng:
         bit_count: int,
         modulation: Optional[DeterministicModulation],
         initial_phase: float,
-        oversample: int = 16,
     ) -> np.ndarray:
-        """Noise-free phase at every sampling instant, in periods.
-
-        The supply-modulation integral is evaluated by the trapezoid rule
-        on an ``oversample``-times finer grid (the injected waveforms are
-        smooth, so a modest oversampling suffices).
-        """
+        """Noise-free phase at every sampling instant, in periods."""
         if bit_count < 1:
             raise ValueError(f"bit count must be positive, got {bit_count}")
         nominal = initial_phase + self.periods_per_sample * np.arange(1, bit_count + 1)
         if modulation is None or self.supply_weight == 0.0:
             return nominal
-        grid_count = bit_count * oversample + 1
-        grid = np.linspace(0.0, bit_count * self.reference_period_ps, grid_count)
-        factors = modulation.factor_array(grid)
-        step = grid[1] - grid[0]
-        integral = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (factors[1:] + factors[:-1]) * step)]
-        )
+        sample_times = self.reference_period_ps * np.arange(1, bit_count + 1)
         # Delay scaling by (1 + w m) slows the phase down by w * integral(m) / T.
-        phase_shift = -(self.supply_weight / self.period_ps) * integral[oversample::oversample]
-        return nominal + phase_shift
+        integral = modulation.integral_array(sample_times)
+        return nominal - (self.supply_weight / self.period_ps) * integral
 
     def generate(
         self,
@@ -157,19 +185,3 @@ class PhaseWalkTrng:
             )
             phase = phase + np.cumsum(increments)
         return (np.mod(phase, 1.0) < 0.5).astype(int)
-
-
-def reference_period_for_q(
-    period_ps: float, period_jitter_ps: float, q_target: float
-) -> float:
-    """Reference period achieving a target quality factor ``Q``.
-
-    Inverts ``Q = (T_ref / T) sigma_p^2 / T^2`` — the provisioning rule a
-    designer uses once the entropy source is characterized, and the
-    reason the paper's sigma measurements matter.
-    """
-    if q_target <= 0.0:
-        raise ValueError(f"Q target must be positive, got {q_target}")
-    if period_jitter_ps <= 0.0:
-        raise ValueError("a jitter-free oscillator cannot reach any Q target")
-    return q_target * period_ps**3 / period_jitter_ps**2

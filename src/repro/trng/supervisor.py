@@ -328,7 +328,7 @@ class RingChannel:
         self._board = board
         self._q_target = float(q_target)
         ring = spec.build(board)
-        self._supply_weight = float(getattr(ring, "mean_supply_weight", 1.0))
+        self._supply_weight = ring.mean_supply_weight
         self._reference_period_ps = reference_period_for_q(
             ring.predicted_period_ps(), ring.predicted_period_jitter_ps(), q_target
         )

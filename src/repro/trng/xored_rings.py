@@ -30,8 +30,7 @@ import numpy as np
 
 from repro.rings.base import RingOscillator
 from repro.simulation.noise import DeterministicModulation, SeedLike, make_rng
-from repro.trng.elementary import predicted_shannon_entropy, quality_factor
-from repro.trng.phasewalk import PhaseWalkTrng
+from repro.trng.phasewalk import PhaseWalkTrng, predicted_shannon_entropy, quality_factor
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,17 +97,12 @@ class XoredRingTrng:
         reference_period_ps: float,
         supply_weight: float = 1.0,
     ) -> None:
-        periods = [float(p) for p in period_ps_per_ring]
-        if len(periods) < 1:
-            raise ValueError("need at least one ring")
-        if any(p <= 0.0 for p in periods):
-            raise ValueError("ring periods must be positive")
-        if reference_period_ps <= max(periods):
-            raise ValueError("reference period must exceed every ring period")
         self._models = [
             PhaseWalkTrng(period, period_jitter_ps, supply_weight, reference_period_ps)
-            for period in periods
+            for period in period_ps_per_ring
         ]
+        if not self._models:
+            raise ValueError("need at least one ring")
         self._reference_period_ps = float(reference_period_ps)
         self._period_jitter_ps = float(period_jitter_ps)
 

@@ -100,3 +100,37 @@ class TestModulations:
 
     def test_no_modulation_helper(self):
         assert noise.no_modulation().factor(1e9) == 0.0
+
+
+@pytest.mark.parametrize(
+    "modulation",
+    [
+        noise.ConstantModulation(0.05),
+        noise.SinusoidalModulation(amplitude=0.02, period_ps=3.7e3, phase_rad=0.9),
+        noise.StepModulation(step_time_ps=4.1e3, factor_after=0.03, factor_before=-0.01),
+        noise.RampModulation(slope_per_ps=2e-6, start_time_ps=-2.5e3),
+        noise.CompositeModulation(
+            [
+                noise.SinusoidalModulation(amplitude=0.01, period_ps=1.3e3),
+                noise.RampModulation(slope_per_ps=1e-6, start_time_ps=5e3),
+                noise.StepModulation(step_time_ps=7e3, factor_after=0.02),
+            ]
+        ),
+    ],
+    ids=lambda modulation: type(modulation).__name__,
+)
+def test_integral_matches_quadrature_of_factor(modulation):
+    """``integral_array`` is the exact integral of ``factor_array`` from 0.
+
+    The tolerance is the trapezoid's own error across a step (jump x grid
+    spacing); the closed forms themselves are exact.
+    """
+    grid = np.linspace(0.0, 1e4, 1_000_001)
+    factors = modulation.factor_array(grid)
+    quadrature = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (factors[1:] + factors[:-1]) * np.diff(grid))]
+    )
+    probes = np.array([0, 1, 250_000, 333_333, 410_000, 700_001, 1_000_000])
+    np.testing.assert_allclose(
+        modulation.integral_array(grid[probes]), quadrature[probes], rtol=0.0, atol=1e-3
+    )

@@ -1,5 +1,7 @@
 """Elementary TRNG."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.trng.elementary import (
     predicted_shannon_entropy,
     quality_factor,
 )
+from repro.trng.phasewalk import reference_period_for_q
 
 
 def fast_ring(sigma=2.0):
@@ -71,6 +74,28 @@ class TestElementaryTrng:
         trng = ElementaryTrng(ring, reference_period_ps=30_000.0, use_simulation=True)
         bits = trng.generate(32, seed=2)
         assert bits.shape == (32,)
+
+    def test_slow_reference_costs_constant_memory_per_bit(self, board):
+        """IRO 5C at Q = 0.2 spans ~7e8 oscillator periods per 20 kbit.
+
+        The fast path must not build that timeline: it samples the phase
+        walk, whose footprint is a few arrays of one float per bit.
+        """
+        ring = InverterRingOscillator.on_board(board, 5)
+        trng = ElementaryTrng(
+            ring,
+            reference_period_for_q(
+                ring.predicted_period_ps(), ring.predicted_period_jitter_ps(), 0.2
+            ),
+        )
+        tracemalloc.start()
+        try:
+            bits = trng.generate(20_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bits.shape == (20_000,)
+        assert peak < 16 * 2**20
 
     def test_bit_count_validation(self):
         trng = ElementaryTrng(fast_ring(), reference_period_ps=20_000.0)

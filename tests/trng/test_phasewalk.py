@@ -1,11 +1,15 @@
 """Phase-random-walk TRNG model."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.rings.iro import InverterRingOscillator
+from repro.rings.str_ring import SelfTimedRing
 from repro.simulation.noise import SinusoidalModulation, StepModulation
 from repro.trng.phasewalk import PhaseWalkTrng, reference_period_for_q
+from repro.trng.xored_rings import XoredRingTrng
 
 
 def make_model(period=1000.0, sigma=2.0, weight=1.0, reference=100_000.0):
@@ -81,6 +85,36 @@ class TestDeterministicPhase:
         # Each sample spans exactly one ripple cycle: zero net shift.
         assert np.allclose(phase, nominal, atol=1e-3)
 
+    def test_fast_ripple_does_not_alias(self, board):
+        """A 10 MHz ripple against a ~9.4 us reference (IRO 5C at Q = 0.02).
+
+        The ripple period is far below the sample spacing, so any sampled
+        quadrature of the modulation aliases; the phase must follow the
+        closed-form integral of the sinusoid.
+        """
+        ring = InverterRingOscillator.on_board(board, 5)
+        model = PhaseWalkTrng.from_ring(
+            ring,
+            reference_period_for_q(
+                ring.predicted_period_ps(), ring.predicted_period_jitter_ps(), 0.02
+            ),
+        )
+        assert model.reference_period_ps == pytest.approx(9.4e6, rel=0.05)
+        amplitude, ripple_period = 0.008, 1.0e5
+        count = 256
+        phase = model.deterministic_phase(
+            count, SinusoidalModulation(amplitude, ripple_period), initial_phase=0.0
+        )
+        times = model.reference_period_ps * np.arange(1, count + 1)
+        integral = amplitude * ripple_period / (2.0 * np.pi) * (
+            1.0 - np.cos(2.0 * np.pi * times / ripple_period)
+        )
+        expected = (
+            model.periods_per_sample * np.arange(1, count + 1)
+            - model.supply_weight / model.period_ps * integral
+        )
+        np.testing.assert_allclose(phase, expected, rtol=0.0, atol=1e-9)
+
 
 class TestGenerate:
     def test_fair_at_high_q(self):
@@ -113,6 +147,61 @@ class TestGenerate:
         model = make_model(sigma=2.0, reference=reference_period_for_q(1000.0, 2.0, 0.2))
         bits = model.generate(30_000, seed=5)
         assert run_battery(bits).all_passed
+
+
+def _digest(bits):
+    return hashlib.sha256(np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()).hexdigest()
+
+
+class TestPinnedBitStreams:
+    """Unmodulated output is pinned bit for bit.
+
+    The serving plane and the supervised runtime draw their raw bits from
+    these generators; the digests were recorded before the phase-walk
+    consolidation and must not move.
+    """
+
+    @pytest.mark.parametrize(
+        "seed,expected",
+        [
+            (0, "000ed76bcbc178e9c2b338a24c0e01c361d36d841ad6f6831eb05f1f0d071df3"),
+            (1, "dccc718338a865e9aac0d546c5bc722e5b2507e62a3fec20244965fe5ece26cb"),
+            (2, "d3ae910beff687737e032f19232d9c6f329305cbaa0199f128e80b7368f48db6"),
+        ],
+    )
+    def test_synthetic_walk(self, seed, expected):
+        model = make_model(reference=reference_period_for_q(1000.0, 2.0, 0.2))
+        assert _digest(model.generate(8192, seed=seed)) == expected
+
+    @pytest.mark.parametrize(
+        "build,expected",
+        [
+            (
+                lambda board: InverterRingOscillator.on_board(board, 5),
+                "9da112eb361df7aa3957661e345f29f02e74f1b595fd12cd437773389330abee",
+            ),
+            (
+                lambda board: SelfTimedRing.on_board(board, 96),
+                "07703df664ec86f06f7711842bc07a16ca19023aab422b557a471e8b8798e523",
+            ),
+        ],
+        ids=["IRO 5C", "STR 96C"],
+    )
+    def test_ring_walk(self, board, build, expected):
+        ring = build(board)
+        model = PhaseWalkTrng.from_ring(
+            ring,
+            reference_period_for_q(
+                ring.predicted_period_ps(), ring.predicted_period_jitter_ps(), 0.2
+            ),
+        )
+        assert _digest(model.generate(8192, seed=7)) == expected
+
+    def test_xored_bank(self, board):
+        bank = XoredRingTrng.on_board(board, 5, 19, 2.0e5)
+        assert _digest(bank.generate(8192, seed=11)) == (
+            "3e42d6a9c88bb8befd46c5e5dfb5f138f45b6300cd722e1751251be6badd86b6"
+        )
 
 
 class TestReferenceForQ:
