@@ -7,5 +7,5 @@ reproduced rows next to the published reference values.
 from conftest import run_reproduction
 
 
-def bench_fig9(benchmark):
+def bench_fig09(benchmark):
     run_reproduction(benchmark, "FIG9")

@@ -3,10 +3,12 @@
 Two guards around the telemetry layer's core promise:
 
 * ``bench_telemetry`` — a tracked benchmark (gated through
-  ``reference_timings.json``) running a small ``jitter_versus_length``
-  campaign with telemetry in its default state (null sink, live
-  registry), so a future change that makes the instrumented hot paths
-  expensive trips the CI regression gate;
+  ``reference_timings.json``) running a small event-backend
+  ``jitter_versus_length`` campaign — the span-heaviest path: grid
+  points, per-point measurement and simulation spans — with telemetry
+  in its default state (null sink, live registry), so a future change
+  that makes the instrumented hot paths expensive trips the CI
+  regression gate;
 * ``test_null_sink_overhead_is_small`` — a direct A/B: the same run
   with the layer fully disabled (``all_disabled()`` — null sink *and*
   write-discarding registry) versus the default path, asserting the
@@ -40,6 +42,7 @@ def _small_run() -> None:
         seed=0,
         jobs=1,
         cache=None,
+        backend="event",
     )
 
 

@@ -27,6 +27,7 @@ from repro.core.characterization import (
     measure_family_dispersion,
     FamilyDispersionResult,
     measure_period_jitter,
+    jitter_from_trace,
     JitterMeasurementResult,
 )
 from repro.core.comparison import ComparisonReport, compare_entropy_sources
@@ -49,6 +50,7 @@ __all__ = [
     "measure_family_dispersion",
     "FamilyDispersionResult",
     "measure_period_jitter",
+    "jitter_from_trace",
     "JitterMeasurementResult",
     "ComparisonReport",
     "compare_entropy_sources",

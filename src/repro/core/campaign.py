@@ -170,12 +170,17 @@ def _segment_lengths(total_periods: int, segment_periods: int) -> List[int]:
 
 
 def _campaign_segment_worker(task: GridTask) -> List[float]:
-    """Grid worker: the period population of one simulation segment."""
+    """Grid worker: the period population of one simulation segment.
+
+    Runs the event oracle explicitly — the event-backend campaign, its
+    shards and its segment cache entries all name event-engine results.
+    """
     payload = task.payload
     trace = payload["ring"].simulate(
         payload["period_count"],
         seed=task.seed,
         warmup_periods=payload["warmup_periods"],
+        backend="event",
     ).trace
     return [float(period) for period in trace.periods_ps()]
 

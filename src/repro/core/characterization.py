@@ -49,13 +49,16 @@ _log = get_logger("repro.core.characterization")
 RingBuilder = Callable[[Board], RingOscillator]
 
 def _measure_frequency_worker(task: GridTask) -> float:
-    """Grid worker: mean event-driven frequency of one resolved ring."""
+    """Grid worker: mean frequency of one resolved ring on the event oracle.
+
+    The backend is pinned, not defaulted: the cache keys of measured
+    sweeps and dispersion grids name event-engine results.
+    """
     payload = task.payload
-    return float(
-        payload["ring"].measure_frequency_mhz(
-            period_count=payload["period_count"], seed=task.seed
-        )
-    )
+    trace = payload["ring"].simulate(
+        payload["period_count"], seed=task.seed, backend="event"
+    ).trace
+    return float(trace.mean_frequency_mhz())
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +109,7 @@ def sweep_voltage(
     """Sweep the core supply and record the ring frequency at each point.
 
     ``measure=False`` reads the analytical frequency (exact, instant);
-    ``measure=True`` runs the event-driven simulation at each point, as a
+    ``measure=True`` runs the event-engine simulation at each point, as a
     real campaign would.  Measured sweeps fan out over ``jobs`` worker
     processes and consult the result ``cache``; each voltage point gets
     its own seed spawned from the integer root ``seed`` (a
@@ -231,14 +234,26 @@ class JitterMeasurementResult:
         return 1e6 / self.mean_period_ps
 
 
-def _jitter_from_trace(
+#: Warm-up discarded before every jitter measurement.  Process-varied
+#: rings settle slowly (weak restoring slopes near the Charlie bottom);
+#: a generous warm-up keeps the start-up transient out of the jitter
+#: statistics.
+JITTER_WARMUP_PERIODS = 64
+
+
+def jitter_from_trace(
     ring: RingOscillator,
     trace,
     method: str,
     seed: SeedLike,
     divider: Optional[RippleDivider] = None,
 ) -> JitterMeasurementResult:
-    """Apply the chosen jitter instrument to an already-simulated trace."""
+    """Apply the chosen jitter instrument to an already-simulated trace.
+
+    The instruments only read ``trace`` (the ``direct`` and ``divider``
+    methods draw their scope error from ``seed``), so several methods
+    can be applied to one simulation — see the FIG10 experiment.
+    """
     mean_period = trace.mean_period_ps()
     divider_reading = None
     if method == "population":
@@ -265,8 +280,8 @@ def measure_period_jitter(
     period_count: int = 8192,
     seed: SeedLike = 0,
     divider: Optional[RippleDivider] = None,
-    warmup_periods: int = 64,
-    backend: str = "event",
+    warmup_periods: int = JITTER_WARMUP_PERIODS,
+    backend: str = "batch",
 ) -> JitterMeasurementResult:
     """Measure a ring's period jitter.
 
@@ -278,19 +293,17 @@ def measure_period_jitter(
     * ``"divider"`` — the Fig. 10 on-chip divider method (the paper's).
 
     ``backend`` selects the simulation engine (see
-    :meth:`~repro.rings.base.RingOscillator.simulate`); the instrument
-    chain on top of the trace is identical either way.
+    :meth:`~repro.rings.base.RingOscillator.simulate`): the batch kernel
+    by default, ``"event"`` for the oracle.  The instrument chain on top
+    of the trace is identical either way.
     """
     if method not in ("population", "direct", "divider"):
         raise ValueError(f"unknown method {method!r}")
     with span("measure_period_jitter", ring=ring.name, method=method):
-        # Process-varied rings settle slowly (weak restoring slopes near
-        # the Charlie bottom); a generous warm-up keeps the start-up
-        # transient out of the jitter statistics.
         result = ring.simulate(
             period_count, seed=seed, warmup_periods=warmup_periods, backend=backend
         )
-        return _jitter_from_trace(ring, result.trace, method, seed, divider)
+        return jitter_from_trace(ring, result.trace, method, seed, divider)
 
 
 def _jitter_result_to_payload(result: JitterMeasurementResult) -> Dict[str, Any]:
@@ -318,7 +331,11 @@ def _jitter_result_from_payload(payload: Dict[str, Any]) -> JitterMeasurementRes
 
 
 def _jitter_point_worker(task: GridTask) -> Dict[str, Any]:
-    """Grid worker: full jitter measurement of one resolved ring."""
+    """Grid worker: full jitter measurement of one resolved ring.
+
+    Only the event path of :func:`jitter_versus_length` builds these
+    tasks, so the worker pins the event oracle its cache keys name.
+    """
     payload = task.payload
     result = measure_period_jitter(
         payload["ring"],
@@ -326,6 +343,7 @@ def _jitter_point_worker(task: GridTask) -> Dict[str, Any]:
         period_count=payload["period_count"],
         seed=task.seed,
         warmup_periods=payload["warmup_periods"],
+        backend="event",
     )
     return _jitter_result_to_payload(result)
 
@@ -336,10 +354,6 @@ def _jitter_point_worker(task: GridTask) -> Dict[str, Any]:
 #: the population method (independent periods either way); capped so
 #: per-replica warm-up stays a minority of the simulated periods.
 STR_BATCH_REPLICAS = 8
-
-#: Warm-up discarded by every jitter campaign point (see
-#: :func:`measure_period_jitter`).
-_JITTER_WARMUP_PERIODS = 64
 
 
 def _jitter_versus_length_batch(
@@ -366,7 +380,7 @@ def _jitter_versus_length_batch(
         simulate_str_batch,
     )
 
-    warmup = _JITTER_WARMUP_PERIODS
+    warmup = JITTER_WARMUP_PERIODS
     if ring_family == "iro":
         specs = [
             IROBatchSpec.from_ring(
@@ -376,7 +390,7 @@ def _jitter_versus_length_batch(
         ]
         result = simulate_iro_batch(specs)
         return [
-            _jitter_from_trace(
+            jitter_from_trace(
                 ring, trace.skip_edges(2 * warmup), method, point_seed, divider
             )
             for ring, trace, point_seed in zip(rings, result.traces, seeds)
@@ -405,7 +419,7 @@ def _jitter_versus_length_batch(
         ]
         if replicas == 1:
             measurements.append(
-                _jitter_from_trace(ring, traces[0], method, point_seed, divider)
+                jitter_from_trace(ring, traces[0], method, point_seed, divider)
             )
             continue
         pooled = np.concatenate([trace.periods_ps() for trace in traces])
@@ -430,16 +444,17 @@ def jitter_versus_length(
     seed: Optional[int] = 0,
     jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
-    backend: str = "event",
+    backend: str = "batch",
 ) -> List[JitterMeasurementResult]:
     """Period jitter as a function of ring length (Figs. 11 and 12).
 
     Every length gets its own seed spawned from the integer root
     ``seed`` (a ``numpy.random.Generator`` raises ``TypeError``), on
-    either backend.  ``backend="event"`` fans one grid task per ring
-    length out over ``jobs`` processes.  ``backend="batch"`` advances
-    every length in one vectorized kernel call instead (``jobs``/``cache``
-    are ignored — the kernel outruns the process pool by a wide margin).
+    either backend.  ``backend="batch"`` (default) advances every length
+    in one vectorized kernel call (``jobs``/``cache`` are ignored — the
+    kernel outruns the process pool by a wide margin).  ``backend="event"``
+    runs the oracle instead, one grid task per ring length fanned out
+    over ``jobs`` processes and cached per point.
     """
     from repro.rings.iro import InverterRingOscillator
     from repro.rings.str_ring import SelfTimedRing
@@ -484,14 +499,14 @@ def jitter_versus_length(
                     "family": ring_family,
                     "method": method,
                     "period_count": period_count,
-                    "warmup_periods": _JITTER_WARMUP_PERIODS,
+                    "warmup_periods": JITTER_WARMUP_PERIODS,
                 },
                 seed=point_seed,
                 payload={
                     "ring": ring,
                     "method": method,
                     "period_count": period_count,
-                    "warmup_periods": _JITTER_WARMUP_PERIODS,
+                    "warmup_periods": JITTER_WARMUP_PERIODS,
                 },
             )
             for ring, length, point_seed in zip(rings, lengths, seeds)

@@ -6,8 +6,9 @@ the STR's delay responds less to global deterministic disturbances.
 This extension quantifies that mechanism end to end:
 
 1. inject sinusoidal supply ripple of increasing amplitude into the
-   ~300 MHz IRO 5C / STR 96C pair of Fig. 9, through the event-driven
-   simulator;
+   ~300 MHz IRO 5C / STR 96C pair of Fig. 9, through the ring
+   simulator (STR on the batch wave kernel, IRO on its event-engine
+   fallback);
 2. separate the deterministic period modulation from the Gaussian jitter
    in quadrature (same noise seed with and without the attack);
 3. report the *relative deterministic response* (period modulation per

@@ -2,9 +2,11 @@
 
 Both oscillators expose the same two evaluation paths:
 
-* ``simulate(...)`` — exact event-driven simulation on the
-  :mod:`repro.simulation` engine, producing an
-  :class:`~repro.simulation.waveform.EdgeTrace` of the output stage;
+* ``simulate(...)`` — exact simulation of the ring's timing model,
+  producing an :class:`~repro.simulation.waveform.EdgeTrace` of the
+  output stage: on the vectorized batch kernel by default, on the
+  per-event :mod:`repro.simulation` engine (the oracle) with
+  ``backend="event"``;
 * ``sample_periods(...)`` — a fast vectorized sampler drawing periods
   from the validated analytical model, for statistics-hungry experiments.
 

@@ -11,8 +11,11 @@ faithful:
 2. ``sample_periods(...)`` — vectorized draws from the analytical jitter
    model (Eqs. 4/5), for statistics-hungry consumers such as the TRNG
    layer;
-3. ``simulate(...)`` — exact event-driven simulation, the ground truth
-   the analytical layers are validated against.
+3. ``simulate(...)`` — exact simulation of the ring's timing model, the
+   ground truth the analytical layers are validated against.  It runs on
+   the vectorized batch kernel (:mod:`repro.simulation.batch`) by
+   default; ``backend="event"`` selects the per-event engine, which is
+   the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro.units import period_ps_to_mhz
 
 @dataclasses.dataclass(frozen=True)
 class SimulationResult:
-    """Outcome of an event-driven ring simulation.
+    """Outcome of a ring simulation (either backend).
 
     ``trace`` has the warm-up prefix already removed; ``warmup_trace``
     retains it for transient studies (mode-locking experiments look at
@@ -93,7 +96,7 @@ class RingOscillator(abc.ABC):
         """Draw ``count`` consecutive periods from the analytical model."""
 
     # ------------------------------------------------------------------
-    # event-driven layer
+    # simulation layer
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def simulate(
@@ -102,13 +105,15 @@ class RingOscillator(abc.ABC):
         seed: SeedLike = None,
         modulation: Optional[DeterministicModulation] = None,
         warmup_periods: int = 16,
-        backend: str = "event",
+        backend: str = "batch",
     ) -> SimulationResult:
         """Run the simulation for ``period_count`` periods.
 
-        ``backend="event"`` is the per-event reference engine;
-        ``backend="batch"`` routes through the vectorized kernel in
-        :mod:`repro.simulation.batch` where the configuration allows it.
+        ``backend="batch"`` (default) routes through the vectorized
+        kernel in :mod:`repro.simulation.batch`, falling back to the
+        event engine (counted in ``repro.batch.fallbacks``) for a
+        configuration the kernel rejects; ``backend="event"`` is the
+        per-event reference engine, the oracle.
         """
 
     # ------------------------------------------------------------------
@@ -120,7 +125,7 @@ class RingOscillator(abc.ABC):
         seed: SeedLike = 0,
         modulation: Optional[DeterministicModulation] = None,
     ) -> float:
-        """Mean frequency over an event-driven run."""
+        """Mean frequency over a simulated run."""
         result = self.simulate(period_count, seed=seed, modulation=modulation)
         return result.trace.mean_frequency_mhz()
 

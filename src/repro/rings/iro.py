@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.rings.base import RingOscillator, SimulationResult
+from repro.simulation.batch import IROBatchSpec, modulation_is_batchable, simulate_iro_batch
 from repro.simulation.engine import SimulationLimits, Simulator
 from repro.simulation.events import Transition
 from repro.simulation.noise import (
@@ -152,7 +153,7 @@ class InverterRingOscillator(RingOscillator):
         return nominal * (1.0 + weight * factors) + noise
 
     # ------------------------------------------------------------------
-    # event-driven layer
+    # simulation layer
     # ------------------------------------------------------------------
     def simulate(
         self,
@@ -160,14 +161,17 @@ class InverterRingOscillator(RingOscillator):
         seed: SeedLike = None,
         modulation: Optional[DeterministicModulation] = None,
         warmup_periods: int = 16,
-        backend: str = "event",
+        backend: str = "batch",
     ) -> SimulationResult:
         """Exact run observed at the last ring stage.
 
-        ``backend="batch"`` routes through the vectorized kernel in
+        ``backend="batch"`` (default) runs the vectorized kernel in
         :mod:`repro.simulation.batch` — bit-identical to the event
         engine for any seed.  Time-varying modulations fall back to the
-        event path (counted in ``repro.batch.fallbacks``).
+        event engine: the fallback is counted in
+        ``repro.batch.fallbacks`` and the ``simulate`` span is tagged
+        with the backend that ran and the rejected modulation's class.
+        ``backend="event"`` is the per-event oracle.
         """
         if period_count < 1:
             raise ValueError(f"period_count must be positive, got {period_count}")
@@ -175,43 +179,35 @@ class InverterRingOscillator(RingOscillator):
             raise ValueError(f"warmup_periods must be non-negative, got {warmup_periods}")
         if backend not in ("event", "batch"):
             raise ValueError(f"backend must be 'event' or 'batch', got {backend!r}")
-        if backend == "batch":
-            from repro.simulation.batch import (
-                IROBatchSpec,
-                modulation_is_batchable,
-                simulate_iro_batch,
-            )
-
-            if modulation_is_batchable(modulation, "iro"):
-                needed_edges = 2 * (period_count + warmup_periods) + 1
+        attrs = {"ring": self.name, "periods": period_count, "backend": backend}
+        if backend == "batch" and not modulation_is_batchable(modulation, "iro"):
+            default_registry().counter("repro.batch.fallbacks").inc()
+            attrs.update(backend="event", rejected_modulation=type(modulation).__name__)
+        # +1 edge so the last period is complete; x2 edges per period.
+        needed_edges = 2 * (period_count + warmup_periods) + 1
+        with span("simulate", **attrs) as tele:
+            if attrs["backend"] == "batch":
                 spec = IROBatchSpec.from_ring(self, edge_count=needed_edges, seed=seed)
                 result = simulate_iro_batch([spec], modulation=modulation)
                 full_trace = result.traces[0]
-                return SimulationResult(
-                    trace=full_trace.skip_edges(2 * warmup_periods),
-                    warmup_trace=full_trace,
-                    events_processed=result.events_processed,
-                )
-            default_registry().counter("repro.batch.fallbacks").inc()
-        rng = make_rng(seed)
-        with span("simulate", ring=self.name, periods=period_count) as tele:
-            process = _IROProcess(self, modulation, rng)
-            simulator = Simulator()
-            output_node = self.stage_count - 1
-            simulator.observe(output_node)
-            # +1 edge so the last period is complete; x2 edges per period.
-            needed_edges = 2 * (period_count + warmup_periods) + 1
-            simulator.run(process, SimulationLimits(max_observed_edges=needed_edges))
-            full_trace = EdgeTrace.from_edges(simulator.edges_for(output_node))
-            tele.set("events", simulator.events_processed)
-            registry = default_registry()
-            registry.counter("repro.rings.iro.simulations").inc()
-            registry.counter("repro.rings.iro.events").inc(simulator.events_processed)
-            return SimulationResult(
-                trace=full_trace.skip_edges(2 * warmup_periods),
-                warmup_trace=full_trace,
-                events_processed=simulator.events_processed,
-            )
+                events = result.events_processed
+            else:
+                process = _IROProcess(self, modulation, make_rng(seed))
+                simulator = Simulator()
+                output_node = self.stage_count - 1
+                simulator.observe(output_node)
+                simulator.run(process, SimulationLimits(max_observed_edges=needed_edges))
+                full_trace = EdgeTrace.from_edges(simulator.edges_for(output_node))
+                events = simulator.events_processed
+                registry = default_registry()
+                registry.counter("repro.rings.iro.simulations").inc()
+                registry.counter("repro.rings.iro.events").inc(events)
+            tele.set("events", events)
+        return SimulationResult(
+            trace=full_trace.skip_edges(2 * warmup_periods),
+            warmup_trace=full_trace,
+            events_processed=events,
+        )
 
 
 class _IROProcess:

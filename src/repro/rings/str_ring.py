@@ -35,6 +35,7 @@ from repro.core.temporal_model import (
 )
 from repro.rings.base import RingOscillator, SimulationResult
 from repro.rings.tokens import fireable_stages, spread_tokens_evenly
+from repro.simulation.batch import STRBatchSpec, simulate_str_batch
 from repro.simulation.engine import SimulationLimits, Simulator, StopReason
 from repro.simulation.events import Transition
 from repro.simulation.noise import (
@@ -245,7 +246,7 @@ class SelfTimedRing(RingOscillator):
         return nominal * (1.0 + weight * factors) + noise
 
     # ------------------------------------------------------------------
-    # event-driven layer
+    # simulation layer
     # ------------------------------------------------------------------
     def simulate(
         self,
@@ -254,14 +255,17 @@ class SelfTimedRing(RingOscillator):
         modulation: Optional[DeterministicModulation] = None,
         warmup_periods: int = 16,
         output_stage: int = 0,
-        backend: str = "event",
+        backend: str = "batch",
     ) -> SimulationResult:
         """Exact run observed at ``output_stage``.
 
-        ``backend="batch"`` routes through the vectorized wave kernel in
-        :mod:`repro.simulation.batch` — bit-identical to the event
-        engine for noiseless rings, statistically equivalent (same
-        model, different draw order) with jitter.
+        ``backend="batch"`` (default) runs the vectorized wave kernel in
+        :mod:`repro.simulation.batch`, which accepts every modulation —
+        bit-identical to the event engine for noiseless rings,
+        statistically equivalent (same model, different draw order) with
+        jitter.  ``backend="event"`` is the per-event oracle, for
+        callers that need its exact edge stream.  The ``simulate`` span
+        is tagged with the backend that ran.
         """
         if period_count < 1:
             raise ValueError(f"period_count must be positive, got {period_count}")
@@ -271,45 +275,38 @@ class SelfTimedRing(RingOscillator):
             raise ValueError(f"output stage {output_stage} outside ring of {self.stage_count}")
         if backend not in ("event", "batch"):
             raise ValueError(f"backend must be 'event' or 'batch', got {backend!r}")
-        if backend == "batch":
-            from repro.simulation.batch import STRBatchSpec, simulate_str_batch
-
-            needed_edges = 2 * (period_count + warmup_periods) + 1
-            spec = STRBatchSpec.from_ring(
-                self, edge_count=needed_edges, seed=seed, output_stage=output_stage
-            )
-            result = simulate_str_batch([spec], modulation=modulation)
-            full_trace = result.traces[0]
-            return SimulationResult(
-                trace=full_trace.skip_edges(2 * warmup_periods),
-                warmup_trace=full_trace,
-                events_processed=result.events_processed,
-            )
-        rng = make_rng(seed)
-        with span("simulate", ring=self.name, periods=period_count) as tele:
-            process = _STRProcess(self, modulation, rng)
-            simulator = Simulator()
-            simulator.observe(output_stage)
-            needed_edges = 2 * (period_count + warmup_periods) + 1
-            reason = simulator.run(process, SimulationLimits(max_observed_edges=needed_edges))
-            full_trace = EdgeTrace.from_edges(simulator.edges_for(output_stage))
-            tele.set("events", simulator.events_processed)
-            registry = default_registry()
-            registry.counter("repro.rings.str.simulations").inc()
-            registry.counter("repro.rings.str.events").inc(simulator.events_processed)
-            if reason is StopReason.QUEUE_EMPTY or len(full_trace) < needed_edges:
-                registry.counter("repro.rings.str.deadlocks").inc()
-                raise RuntimeError(
-                    f"{self.name} deadlocked (engine reported {reason.value}) after "
-                    f"{len(full_trace)} observed edges (wanted {needed_edges}); "
-                    f"final state {''.join(str(v) for v in process.state_snapshot())}"
+        needed_edges = 2 * (period_count + warmup_periods) + 1
+        with span("simulate", ring=self.name, periods=period_count, backend=backend) as tele:
+            if backend == "batch":
+                spec = STRBatchSpec.from_ring(
+                    self, edge_count=needed_edges, seed=seed, output_stage=output_stage
                 )
-            return SimulationResult(
-                trace=full_trace.skip_edges(2 * warmup_periods),
-                warmup_trace=full_trace,
-                events_processed=simulator.events_processed,
-            )
-
+                result = simulate_str_batch([spec], modulation=modulation)
+                full_trace = result.traces[0]
+                events = result.events_processed
+            else:
+                process = _STRProcess(self, modulation, make_rng(seed))
+                simulator = Simulator()
+                simulator.observe(output_stage)
+                reason = simulator.run(process, SimulationLimits(max_observed_edges=needed_edges))
+                full_trace = EdgeTrace.from_edges(simulator.edges_for(output_stage))
+                events = simulator.events_processed
+                registry = default_registry()
+                registry.counter("repro.rings.str.simulations").inc()
+                registry.counter("repro.rings.str.events").inc(events)
+                if reason is StopReason.QUEUE_EMPTY or len(full_trace) < needed_edges:
+                    registry.counter("repro.rings.str.deadlocks").inc()
+                    raise RuntimeError(
+                        f"{self.name} deadlocked (engine reported {reason.value}) after "
+                        f"{len(full_trace)} observed edges (wanted {needed_edges}); "
+                        f"final state {''.join(str(v) for v in process.state_snapshot())}"
+                    )
+            tele.set("events", events)
+        return SimulationResult(
+            trace=full_trace.skip_edges(2 * warmup_periods),
+            warmup_trace=full_trace,
+            events_processed=events,
+        )
 
     def simulate_phases(
         self,

@@ -57,7 +57,7 @@ class ElementaryTrng:
         Sampling period of the reference clock.  Must be slower than the
         ring (subsampling), otherwise the construction is meaningless.
     use_simulation:
-        ``True`` samples the edge timeline of the event-driven simulation
+        ``True`` samples the edge timeline of the event-engine simulation
         (slow, exact — the oracle); ``False`` (default) the phase random
         walk of :class:`PhaseWalkTrng` (O(1) per bit).
     """
@@ -119,9 +119,11 @@ class ElementaryTrng:
                 initial_phase=None if phase_dither else 0.0,
             )
 
-        # The oracle: D flip-flop sampling of the event-driven edge timeline.
+        # The oracle: D flip-flop sampling of the event-engine edge timeline.
         def simulated_periods(count: int) -> np.ndarray:
-            return self._ring.simulate(count, seed=rng, modulation=modulation).trace.periods_ps()
+            return self._ring.simulate(
+                count, seed=rng, modulation=modulation, backend="event"
+            ).trace.periods_ps()
 
         nominal_period = self._walk.period_ps
         reference_period = self._walk.reference_period_ps

@@ -119,7 +119,7 @@ def measure_diffusion_sigma_ps(
     sigma (see the FIG10 experiment notes).  Measured on the batch
     kernel, which the phase walk takes as its oracle.
     """
-    result = ring.simulate(period_count, seed=seed, backend="batch")
+    result = ring.simulate(period_count, seed=seed)
     profile = accumulation_profile(result.trace.periods_ps())
     return profile.diffusion_sigma_ps
 

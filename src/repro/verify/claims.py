@@ -523,7 +523,7 @@ def _check_c5(seed: int, params: Mapping[str, Any]) -> Evidence:
         "short STR no better than IRO": abs(str_4 - iro_5) < 0.05,
     }
 
-    # The event simulation must agree with the analytic excursion: TOST
+    # The simulation must agree with the analytic excursion: TOST
     # of measured STR-96 excursions (one per sub-seed) against str_96.
     excursions: List[float] = []
     for sub in _subseeds(seed, int(params["repeats"])):
@@ -689,7 +689,7 @@ def _check_eq3(seed: int, params: Mapping[str, Any]) -> Evidence:
     return Evidence(
         passed=decision.passed,
         observed={"lengths": lengths, "measured_over_predicted": ratios},
-        detail="event-sim period / Eq. 3 steady-state period; " + decision.describe(),
+        detail="simulated period / Eq. 3 steady-state period; " + decision.describe(),
     )
 
 
@@ -699,7 +699,7 @@ register_claim(
         title="the Eq. 3 Charlie steady-state model predicts the simulated STR period",
         paper_ref="Section III / Eq. 3",
         criterion="TOST on the measured/predicted period ratio",
-        estimator="event-driven mean period vs solve_steady_state fixed point",
+        estimator="simulated mean period vs solve_steady_state fixed point",
         tiers={
             "quick": {"lengths": (16, 48, 96), "periods": 96, "warmup": 32, "margin": 0.02},
             "full": {"lengths": (8, 16, 32, 48, 64, 96), "periods": 192, "warmup": 48, "margin": 0.015},

@@ -75,6 +75,7 @@ class TestJitterIdentity:
             method="population",
             period_count=96,
             seed=11,
+            backend="event",
         )
         serial = jitter_versus_length(board, jobs=1, **kwargs)
         parallel = jitter_versus_length(board, jobs=2, **kwargs)

@@ -54,7 +54,7 @@ def str_rings(draw):
 
 def full_event_times(ring, edge_count, seed):
     period_count = (edge_count - 1) // 2
-    result = ring.simulate(period_count, seed=seed, warmup_periods=0)
+    result = ring.simulate(period_count, seed=seed, warmup_periods=0, backend="event")
     return result.warmup_trace.times_ps[:edge_count]
 
 
@@ -114,7 +114,9 @@ class TestSTREquivalence:
         replica_seeds = [seed + replica for replica in range(4)]
         event_periods = np.concatenate(
             [
-                noisy.simulate(200, seed=s, warmup_periods=16).trace.periods_ps()
+                noisy.simulate(
+                    200, seed=s, warmup_periods=16, backend="event"
+                ).trace.periods_ps()
                 for s in replica_seeds
             ]
         )

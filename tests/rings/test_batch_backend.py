@@ -6,17 +6,28 @@ either match it bit for bit (IRO, noiseless STR) or reproduce its
 physics within documented statistical bounds (noisy STR).
 """
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.campaign import RingSpec, run_campaign
-from repro.core.characterization import jitter_versus_length
+from repro.core.characterization import (
+    jitter_versus_length,
+    measure_period_jitter,
+    sweep_voltage,
+)
 from repro.core.charlie import CharlieDiagram, CharlieParameters
+from repro.experiments import fig09_histograms, fig10_method
 from repro.fpga.board import BoardBank
+from repro.measurement.counters import RippleDivider
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
 from repro.simulation.noise import ConstantModulation, SinusoidalModulation
-from repro.telemetry import default_registry
+from repro.telemetry import MemorySink, default_registry, use_sink
+from repro.trng.elementary import ElementaryTrng
 
 
 def make_iro(stages=5, sigma=2.0):
@@ -34,7 +45,7 @@ def make_str(stages=8, sigma=0.0):
 class TestRingSimulateBackend:
     def test_iro_batch_backend_bit_identical(self):
         ring = make_iro()
-        event = ring.simulate(64, seed=7, warmup_periods=8)
+        event = ring.simulate(64, seed=7, warmup_periods=8, backend="event")
         batch = ring.simulate(64, seed=7, warmup_periods=8, backend="batch")
         np.testing.assert_array_equal(
             batch.trace.times_ps, event.trace.times_ps
@@ -47,7 +58,9 @@ class TestRingSimulateBackend:
     def test_iro_batch_backend_with_constant_modulation(self):
         ring = make_iro()
         modulation = ConstantModulation(0.08)
-        event = ring.simulate(32, seed=3, modulation=modulation, warmup_periods=4)
+        event = ring.simulate(
+            32, seed=3, modulation=modulation, warmup_periods=4, backend="event"
+        )
         batch = ring.simulate(
             32, seed=3, modulation=modulation, warmup_periods=4, backend="batch"
         )
@@ -58,7 +71,9 @@ class TestRingSimulateBackend:
         modulation = SinusoidalModulation(0.05, 5000.0)
         registry = default_registry()
         assert registry.counter("repro.batch.fallbacks").value == 0
-        event = ring.simulate(24, seed=5, modulation=modulation, warmup_periods=4)
+        event = ring.simulate(
+            24, seed=5, modulation=modulation, warmup_periods=4, backend="event"
+        )
         batch = ring.simulate(
             24, seed=5, modulation=modulation, warmup_periods=4, backend="batch"
         )
@@ -68,7 +83,7 @@ class TestRingSimulateBackend:
 
     def test_str_noiseless_batch_backend_bit_identical(self):
         ring = make_str()
-        event = ring.simulate(48, seed=11, warmup_periods=8)
+        event = ring.simulate(48, seed=11, warmup_periods=8, backend="event")
         batch = ring.simulate(48, seed=11, warmup_periods=8, backend="batch")
         np.testing.assert_array_equal(batch.trace.times_ps, event.trace.times_ps)
         np.testing.assert_array_equal(
@@ -77,7 +92,7 @@ class TestRingSimulateBackend:
 
     def test_str_noisy_batch_backend_statistically_equivalent(self):
         ring = make_str(16, sigma=2.0)
-        event = ring.simulate(600, seed=2, warmup_periods=32)
+        event = ring.simulate(600, seed=2, warmup_periods=32, backend="event")
         batch = ring.simulate(600, seed=2, warmup_periods=32, backend="batch")
         assert batch.trace.mean_period_ps() == pytest.approx(
             event.trace.mean_period_ps(), rel=0.01
@@ -163,3 +178,154 @@ class TestCampaignBackend:
     def test_invalid_backend_rejected(self, bank):
         with pytest.raises(ValueError, match="backend"):
             run_campaign([RingSpec("iro", 5)], bank=bank, backend="gpu")
+
+
+def _event_counts():
+    registry = default_registry()
+    events = sum(
+        registry.counter(f"repro.rings.{family}.events").value
+        for family in ("iro", "str")
+    )
+    return events, registry.counter("repro.batch.simulations").value
+
+
+class TestEventOraclePinned:
+    """Callers that name the event engine must not inherit the batch default."""
+
+    def test_event_campaign_runs_on_event_engine(self):
+        bank = BoardBank.manufacture(board_count=2, seed=7)
+        run_campaign([RingSpec("str", 8)], bank=bank, jitter_periods=256, backend="event")
+        events, batch_calls = _event_counts()
+        assert events > 0
+        assert batch_calls == 0
+
+    def test_event_jitter_versus_length_runs_on_event_engine(self, board):
+        jitter_versus_length(board, [8], "str", period_count=256, backend="event")
+        events, batch_calls = _event_counts()
+        assert events > 0
+        assert batch_calls == 0
+
+    def test_measured_voltage_sweep_runs_on_event_engine(self, board):
+        sweep_voltage(
+            board,
+            lambda sweep_board: SelfTimedRing.on_board(sweep_board, 8),
+            [1.0, 1.2],
+            measure=True,
+            period_count=32,
+        )
+        events, batch_calls = _event_counts()
+        assert events > 0
+        assert batch_calls == 0
+
+    def test_simulated_elementary_trng_runs_on_event_engine(self, board):
+        ring = SelfTimedRing.on_board(board, 8)
+        trng = ElementaryTrng(ring, reference_period_ps=30_000.0, use_simulation=True)
+        trng.generate(32, seed=2)
+        events, batch_calls = _event_counts()
+        assert events > 0
+        assert batch_calls == 0
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestEventOracleDigests:
+    """Event-backend outputs, pinned to the digit by SHA-256 digests.
+
+    Recorded before ``simulate`` defaulted to the batch kernel: the
+    event paths of the campaign and of the jitter driver must still
+    produce exactly these reports.
+    """
+
+    @pytest.mark.parametrize(
+        "kind, stages, digest",
+        [
+            ("iro", 5, "49a82deaffc535999ba0073b4bbcbf6f1caab21ecd3b290f3f8365866b992c9c"),
+            ("str", 8, "be3412890152e4d99398d62ca9cdd908d87be36a9feb701432fc99d99b0b335c"),
+        ],
+    )
+    def test_campaign_json(self, kind, stages, digest):
+        bank = BoardBank.manufacture(board_count=2, seed=7)
+        report = run_campaign(
+            [RingSpec(kind, stages)], bank=bank, jitter_periods=512, seed=3, backend="event"
+        )
+        assert _digest(report.to_json()) == digest
+
+    @pytest.mark.parametrize(
+        "family, lengths, digest",
+        [
+            ("iro", [3, 5], "60ddc4c0cb4bd9024bfb62d45ec8e2574b38af22a96902252bd1640f76a50714"),
+            ("str", [8, 16], "3cf1e97d0074a9516f6a0a31d6c70f54a32c3da36d8e0ceace84e0a3cd95a16a"),
+        ],
+    )
+    def test_jitter_versus_length_rows(self, board, family, lengths, digest):
+        rows = jitter_versus_length(
+            board, lengths, family, period_count=400, seed=13, backend="event"
+        )
+        text = json.dumps([dataclasses.asdict(row) for row in rows], sort_keys=True)
+        assert _digest(text) == digest
+
+
+def _simulate_spans(sink):
+    return [
+        record
+        for record in sink.records
+        if record["type"] == "span" and record["name"] == "simulate"
+    ]
+
+
+class TestBackendVisibility:
+    def test_fig9_str_simulation_tagged_batch(self, board):
+        sink = MemorySink()
+        with use_sink(sink):
+            fig09_histograms.run(board=board, period_count=256)
+        spans = {record["attrs"]["ring"]: record for record in _simulate_spans(sink)}
+        str_span = spans["STR 96C"]
+        assert str_span["attrs"]["backend"] == "batch"
+        assert "rejected_modulation" not in str_span["attrs"]
+        kernel_spans = [
+            record
+            for record in sink.records
+            if record["type"] == "span" and record["name"] == "batch_simulate"
+        ]
+        assert str_span["span_id"] in {record["parent_id"] for record in kernel_spans}
+
+    def test_iro_ripple_fallback_tagged_event(self):
+        sink = MemorySink()
+        with use_sink(sink):
+            make_iro().simulate(24, seed=5, modulation=SinusoidalModulation(0.05, 5000.0))
+        (record,) = _simulate_spans(sink)
+        assert record["attrs"]["backend"] == "event"
+        assert record["attrs"]["rejected_modulation"] == "SinusoidalModulation"
+        assert default_registry().counter("repro.batch.fallbacks").value == 1
+
+    def test_event_backend_is_not_a_fallback(self):
+        sink = MemorySink()
+        with use_sink(sink):
+            make_iro().simulate(
+                24, seed=5, modulation=SinusoidalModulation(0.05, 5000.0), backend="event"
+            )
+        (record,) = _simulate_spans(sink)
+        assert record["attrs"]["backend"] == "event"
+        assert "rejected_modulation" not in record["attrs"]
+        assert default_registry().counter("repro.batch.fallbacks").value == 0
+
+
+class TestFig10SharedTrace:
+    def test_rows_match_one_measurement_per_method(self, board):
+        result = fig10_method.run(
+            board=board, iro_period_count=1024, str_period_count=512, divider_bits=4
+        )
+        divider = RippleDivider(bit_count=4)
+        expected = []
+        for ring, period_count in (
+            (InverterRingOscillator.on_board(board, 5), 1024),
+            (SelfTimedRing.on_board(board, 96), 512),
+        ):
+            for method in ("population", "direct", "divider"):
+                reading = measure_period_jitter(
+                    ring, method=method, period_count=period_count, seed=5, divider=divider
+                )
+                expected.append((ring.name, method, reading.sigma_period_ps))
+        assert [row[:3] for row in result.rows] == expected

@@ -42,7 +42,9 @@ def event_trace(ring, edge_count, seed, modulation=None):
     """Full (warmup-inclusive) event-engine trace with ``edge_count`` edges."""
     # edge_count = 2 * (period_count + warmup) + 1 with warmup = 0.
     period_count = (edge_count - 1) // 2
-    result = ring.simulate(period_count, seed=seed, modulation=modulation, warmup_periods=0)
+    result = ring.simulate(
+        period_count, seed=seed, modulation=modulation, warmup_periods=0, backend="event"
+    )
     return result.warmup_trace.times_ps[:edge_count]
 
 
@@ -121,7 +123,7 @@ class TestSTRKernel:
 
     def test_noisy_statistics_match_event_engine(self):
         ring = make_str(16, sigma=2.0)
-        result_event = ring.simulate(600, seed=11, warmup_periods=32)
+        result_event = ring.simulate(600, seed=11, warmup_periods=32, backend="event")
         spec = STRBatchSpec.from_ring(ring, edge_count=2 * 632 + 1, seed=11)
         trace_batch = simulate_str_batch([spec]).traces[0].skip_edges(64)
         # Different draw order => different realization, same process.
