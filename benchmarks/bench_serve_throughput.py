@@ -9,7 +9,9 @@ framing, pool gating, or grant loop accidentally quadratic — or that
 serializes the request path — trips the CI regression gate.
 
 The run asserts the load was clean (no errors, no integrity violations)
-so a timing number from a broken server can never pass silently.
+so a timing number from a broken server can never pass silently.  One
+warm-up round and five measured rounds, each with a fresh pool and
+server, make the gated mean more than one cold sample.
 """
 
 from __future__ import annotations
@@ -55,4 +57,4 @@ def _run() -> None:
 
 
 def bench_serve(benchmark):
-    benchmark.pedantic(_run, rounds=1, iterations=1)
+    benchmark.pedantic(_run, rounds=5, iterations=1, warmup_rounds=1)

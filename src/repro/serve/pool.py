@@ -27,7 +27,14 @@ Every transition lands in the same structured
 ``quarantine``, ``readmit``, ``readmit_failed``, ``circuit_open``,
 ``fault_injected``, ``fault_cleared``), and a :class:`LedgerEntry` per
 sampled block records the ground truth the chaos harness asserts on:
-zero emitted blocks with alarms.
+zero emitted blocks with alarms.  The ledger keeps a bounded window of
+recent entries (``PoolConfig.ledger_window``); the entry count and the
+unhealthy-emitted count are running counters, exact over the pool's
+whole life, so memory does not grow with uptime.
+
+Registry gauges (healthy/quarantined/tripped/brownout and the
+per-channel state and flap gauges) are published at construction and on
+every state transition; a steady run of clean blocks writes none.
 
 Faults are injected as :class:`~repro.faults.base.FaultScenario` values
 against the pool's deterministic clock (bits sampled x reference
@@ -38,9 +45,10 @@ wall-clock scheduling.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -78,6 +86,7 @@ class PoolConfig:
     )
     max_flaps: int = 8
     min_healthy: int = 2
+    ledger_window: int = 4096
 
     def __post_init__(self) -> None:
         if self.block_bits < 16:
@@ -90,6 +99,8 @@ class PoolConfig:
             raise ValueError(f"max flaps must be positive, got {self.max_flaps}")
         if self.min_healthy < 1:
             raise ValueError(f"min healthy must be positive, got {self.min_healthy}")
+        if self.ledger_window < 1:
+            raise ValueError(f"ledger window must be positive, got {self.ledger_window}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,6 +111,8 @@ class LedgerEntry:
     which the pool never consults for gating; gating is the health
     tests' job.  Keeping both lets the chaos harness assert the SLO
     honestly: an emitted entry must have ``alarm_count == 0``.
+    ``index`` counts every entry the pool ever recorded, so it stays
+    continuous after older entries leave the ledger window.
     """
 
     index: int
@@ -167,7 +180,9 @@ class TrngPool:
             for index, spec in enumerate(specs)
         ]
         self.events = EventLog()
-        self.ledger: List[LedgerEntry] = []
+        self.ledger: Deque[LedgerEntry] = collections.deque(maxlen=config.ledger_window)
+        self._ledger_total = 0
+        self._unhealthy_emitted = 0
         self._buffer = bytearray()
         self._time_s = 0.0
         self._blocks_sampled = 0
@@ -241,11 +256,19 @@ class TrngPool:
         """Healthy capacity below the configured floor."""
         return self.healthy_count < self._config.min_healthy
 
+    @property
+    def ledger_total(self) -> int:
+        """Entries recorded over the pool's life (the ledger holds the
+        most recent ``ledger_window`` of them)."""
+        return self._ledger_total
+
     def unhealthy_emitted_blocks(self) -> int:
-        """Emitted blocks that carried alarms — the SLO demands zero."""
-        return sum(
-            1 for entry in self.ledger if entry.emitted and entry.alarm_count > 0
-        )
+        """Emitted blocks that carried alarms — the SLO demands zero.
+
+        A running counter over the pool's whole life, not a scan of the
+        ledger window.
+        """
+        return self._unhealthy_emitted
 
     def status(self) -> Dict[str, Any]:
         """JSON-able pool snapshot (served on STATUS frames)."""
@@ -334,9 +357,11 @@ class TrngPool:
     def _record(
         self, channel: PoolChannel, purpose: str, status: str, alarms: int, emitted: bool
     ) -> None:
+        if emitted and alarms > 0:
+            self._unhealthy_emitted += 1
         self.ledger.append(
             LedgerEntry(
-                index=len(self.ledger),
+                index=self._ledger_total,
                 time_s=self._time_s,
                 channel=channel.name,
                 purpose=purpose,
@@ -345,6 +370,7 @@ class TrngPool:
                 emitted=emitted,
             )
         )
+        self._ledger_total += 1
 
     def _sample(self, channel: PoolChannel) -> tuple:
         """Sample one block from ``channel`` under the active effect."""
@@ -407,11 +433,13 @@ class TrngPool:
 
     def _try_readmit(self) -> None:
         """Probe every quarantined channel whose backoff has expired."""
+        probed = False
         for channel in self.channels:
             if channel.state is not ChannelState.QUARANTINED:
                 continue
             if self._time_s < channel.eligible_at_s:
                 continue
+            probed = True
             if self._probe(channel):
                 channel.state = ChannelState.HEALTHY
                 channel.backoff_attempt = 0
@@ -435,7 +463,8 @@ class TrngPool:
                     state_from=ChannelState.QUARANTINED.value,
                     state_to=ChannelState.QUARANTINED.value,
                 )
-        self._update_gauges()
+        if probed:
+            self._update_gauges()
 
     # ------------------------------------------------------------------
     # production
@@ -451,8 +480,9 @@ class TrngPool:
         """
         self._try_readmit()
         healthy = self.channels_in(ChannelState.HEALTHY)
-        for step in range(len(healthy)):
-            channel = healthy[(self._rr_offset + step) % len(healthy)]
+        count = len(healthy)
+        for step in range(count):
+            channel = healthy[(self._rr_offset + step) % count]
             bits, status = self._sample(channel)
             alarms = channel.monitor.ingest(bits)
             signals = self._drift_observe(channel, bits, len(alarms))
@@ -477,7 +507,7 @@ class TrngPool:
                 ).inc()
                 continue
             self._record(channel, "serve", status, 0, True)
-            self._rr_offset = (self._rr_offset + step + 1) % max(len(healthy), 1)
+            self._rr_offset = (self._rr_offset + step + 1) % count
             default_registry().counter("repro.serve.pool.blocks_emitted").inc()
             return bits
         # Exhausted: no healthy channel survived this walk.

@@ -19,6 +19,7 @@ quantile at the same significance.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import List, Sequence
 
@@ -35,6 +36,7 @@ class HealthAlarm:
     detail: str
 
 
+@functools.lru_cache(maxsize=256)
 def repetition_count_cutoff(min_entropy_per_bit: float, alpha_exponent: int = 20) -> int:
     """SP 800-90B repetition-count cutoff ``C = 1 + ceil(a / H)``."""
     if not (0.0 < min_entropy_per_bit <= 1.0):
@@ -44,6 +46,7 @@ def repetition_count_cutoff(min_entropy_per_bit: float, alpha_exponent: int = 20
     return 1 + math.ceil(alpha_exponent / min_entropy_per_bit)
 
 
+@functools.lru_cache(maxsize=256)
 def adaptive_proportion_cutoff(
     min_entropy_per_bit: float, window: int = 512, alpha_exponent: int = 20
 ) -> int:
@@ -55,6 +58,36 @@ def adaptive_proportion_cutoff(
     p_max = 2.0 ** (-min_entropy_per_bit)
     cutoff = int(scipy_stats.binom.ppf(1.0 - 2.0**-alpha_exponent, window - 1, p_max)) + 1
     return min(cutoff, window)
+
+
+def _as_bits(bits: Sequence[int]) -> np.ndarray:
+    """``bits`` as a one-dimensional array of 0/1 values, or ValueError.
+
+    Bool arrays need no check and integer arrays one reduction (the
+    bitwise OR of 0/1 values is 0 or 1; a negative value or one above 1
+    leaves other bits set).  Anything else — floats, objects — must
+    compare equal to 0 or 1 *before* it is cast, so ``0.7`` is rejected
+    instead of being truncated to 0.
+    """
+    array = np.asarray(bits)
+    if array.ndim != 1:
+        raise ValueError("bits must be one-dimensional")
+    kind = array.dtype.kind
+    if kind == "b" or array.size == 0:
+        return array
+    if kind in "iu":
+        if int(np.bitwise_or.reduce(array)) >> 1:
+            raise ValueError("bits must be 0 or 1")
+        return array
+    if not np.all((array == 0) | (array == 1)):
+        raise ValueError("bits must be 0 or 1")
+    return array.astype(np.int8)
+
+
+def _occurrences(segment: np.ndarray, reference: int) -> int:
+    """How many bits of ``segment`` equal ``reference`` (0 or 1)."""
+    ones = int(np.count_nonzero(segment))
+    return ones if reference == 1 else segment.size - ones
 
 
 class HealthMonitor:
@@ -95,63 +128,76 @@ class HealthMonitor:
     def ingest(self, bits: Sequence[int]) -> List[HealthAlarm]:
         """Process a chunk of bits; return alarms raised by this chunk.
 
-        Vectorized: repetition counting works on the run-length encoding
-        of the chunk and adaptive proportion on reshaped window sums, so
-        the cost is dominated by a few numpy passes instead of a Python
-        loop per bit.  Alarm positions, details and ordering are
-        identical to a bit-at-a-time evaluation (within one bit the
-        repetition test fires before the proportion test).
+        Vectorized: repetition counting works on the run boundaries of
+        the chunk and adaptive proportion on reshaped window sums, so
+        the cost is a few numpy passes instead of a Python loop per bit.
+        Alarm positions, details and ordering are identical to a
+        bit-at-a-time evaluation (within one bit the repetition test
+        fires before the proportion test).
+
+        Bool and integer arrays are checked with one reduction; any
+        other input must hold exactly 0 or 1 (``0.7`` is rejected, not
+        truncated).
         """
-        array = np.asarray(bits, dtype=int)
-        if array.ndim != 1:
-            raise ValueError("bits must be one-dimensional")
-        if array.size and not np.all((array == 0) | (array == 1)):
-            raise ValueError("bits must be 0 or 1")
+        array = _as_bits(bits)
         if array.size == 0:
             return []
-        new_alarms = self._repetition_alarms(array) + self._proportion_alarms(array)
-        new_alarms.sort(
-            key=lambda alarm: (
-                alarm.position,
-                0 if alarm.test_name == "repetition_count" else 1,
+        repetition = self._repetition_alarms(array)
+        proportion = self._proportion_alarms(array)
+        if repetition and proportion:
+            new_alarms = sorted(
+                repetition + proportion,
+                key=lambda alarm: (
+                    alarm.position,
+                    0 if alarm.test_name == "repetition_count" else 1,
+                ),
             )
-        )
+        else:
+            new_alarms = repetition or proportion
         self._position += array.size
         self.alarms.extend(new_alarms)
         return new_alarms
 
     def _repetition_alarms(self, array: np.ndarray) -> List[HealthAlarm]:
-        """Run-length-encoded repetition-count test over one chunk.
+        """Run-length repetition-count test over one chunk.
 
         Within a maximal run, the hardware counter restarts after every
         alarm, so a run carrying ``prior`` bits from the previous chunk
         alarms every ``cutoff`` counts of the virtual total and leaves
-        ``total % cutoff`` on the counter.
+        ``total % cutoff`` on the counter.  When the first run (with its
+        prior), the last run and the longest inner run are all below the
+        cutoff, no run can alarm and only the carry is updated.
         """
         cutoff = self.repetition_cutoff
-        base = self._position
-        boundaries = np.flatnonzero(array[1:] != array[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        lengths = np.diff(np.concatenate((starts, [array.size])))
-        priors = np.zeros(starts.size, dtype=int)
-        if int(array[0]) == self._last_bit:
-            priors[0] = self._run_length
-        totals = lengths + priors
-        detail = f"{cutoff} identical bits (cutoff {cutoff})"
+        size = array.size
+        # Index of the last bit of every run but the chunk's last one.
+        ends = (array[1:] != array[:-1]).nonzero()[0]
+        prior = self._run_length if int(array[0]) == self._last_bit else 0
+        if ends.size:
+            first = prior + int(ends[0]) + 1
+            last = size - 1 - int(ends[-1])
+            inner = int((ends[1:] - ends[:-1]).max()) if ends.size > 1 else 0
+            longest = max(first, last, inner)
+        else:
+            last = longest = prior + size
         alarms: List[HealthAlarm] = []
-        for index in np.flatnonzero(totals >= cutoff):
-            start = int(starts[index])
-            prior = int(priors[index])
-            total = int(totals[index])
-            for k in range(1, total // cutoff + 1):
-                alarms.append(
-                    HealthAlarm(
-                        test_name="repetition_count",
-                        position=base + start - prior + k * cutoff - 1,
-                        detail=detail,
+        if longest >= cutoff:
+            starts = np.concatenate(([0], ends + 1))
+            totals = np.diff(np.concatenate((starts, [size])))
+            totals[0] += prior
+            detail = f"{cutoff} identical bits (cutoff {cutoff})"
+            base = self._position
+            for index in np.flatnonzero(totals >= cutoff):
+                origin = base + int(starts[index]) - (prior if index == 0 else 0)
+                for k in range(1, int(totals[index]) // cutoff + 1):
+                    alarms.append(
+                        HealthAlarm(
+                            test_name="repetition_count",
+                            position=origin + k * cutoff - 1,
+                            detail=detail,
+                        )
                     )
-                )
-        remainder = int(totals[-1]) % cutoff
+        remainder = last % cutoff
         if remainder == 0:
             # The chunk's last bit raised an alarm: counter restarted.
             self._last_bit = -1
@@ -165,8 +211,9 @@ class HealthMonitor:
         """Tumbling-window adaptive-proportion test over one chunk.
 
         Completes the partially filled carry window first, then checks
-        every full window via one reshape + row sum, and finally starts
-        the next carry window from the chunk's tail.
+        every full window (one count for a single window, else one
+        reshape + row sum), and finally starts the next carry window
+        from the chunk's tail.
         """
         window = self.window
         cutoff = self.proportion_cutoff
@@ -175,43 +222,55 @@ class HealthMonitor:
         offset = 0
         if self._window_position > 0:
             head = array[: window - self._window_position]
-            self._window_count += int(np.sum(head == self._window_reference))
+            self._window_count += _occurrences(head, self._window_reference)
             self._window_position += head.size
             if self._window_position < window:
                 return alarms
             if self._window_count >= cutoff:
                 alarms.append(
-                    HealthAlarm(
-                        test_name="adaptive_proportion",
-                        position=base + head.size - 1,
-                        detail=f"{self._window_count}/{window} occurrences "
-                        f"of {self._window_reference} (cutoff {cutoff})",
+                    self._proportion_alarm(
+                        base + head.size - 1, self._window_count, self._window_reference
                     )
                 )
             self._window_position = 0
             offset = head.size
         remaining = array[offset:]
         full = remaining.size // window
-        if full:
+        if full == 1:
+            # The common chunk (one block = one window): no reshape.
+            reference = int(remaining[0])
+            count = _occurrences(remaining[:window], reference)
+            if count >= cutoff:
+                alarms.append(
+                    self._proportion_alarm(base + offset + window - 1, count, reference)
+                )
+        elif full:
             blocks = remaining[: full * window].reshape(full, window)
             references = blocks[:, 0]
             ones = blocks.sum(axis=1)
             counts = np.where(references == 1, ones, window - ones)
             for index in np.flatnonzero(counts >= cutoff):
                 alarms.append(
-                    HealthAlarm(
-                        test_name="adaptive_proportion",
-                        position=base + offset + (int(index) + 1) * window - 1,
-                        detail=f"{int(counts[index])}/{window} occurrences "
-                        f"of {int(references[index])} (cutoff {cutoff})",
+                    self._proportion_alarm(
+                        base + offset + (int(index) + 1) * window - 1,
+                        int(counts[index]),
+                        int(references[index]),
                     )
                 )
         tail = remaining[full * window :]
         if tail.size:
             self._window_reference = int(tail[0])
-            self._window_count = int(np.sum(tail == tail[0]))
+            self._window_count = _occurrences(tail, self._window_reference)
             self._window_position = int(tail.size)
         return alarms
+
+    def _proportion_alarm(self, position: int, count: int, reference: int) -> HealthAlarm:
+        return HealthAlarm(
+            test_name="adaptive_proportion",
+            position=position,
+            detail=f"{count}/{self.window} occurrences "
+            f"of {reference} (cutoff {self.proportion_cutoff})",
+        )
 
     # ------------------------------------------------------------------
     # summary

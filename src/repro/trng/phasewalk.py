@@ -89,6 +89,10 @@ class PhaseWalkTrng:
         (see :class:`repro.fpga.device.StageTiming`).
     reference_period_ps:
         Sampling period of the reference clock.
+
+    The operating point is fixed at construction: the per-sample phase
+    sigma is computed once, and the nominal phase ramp of the last
+    ``bit_count`` generated is kept for reuse (one ramp per model).
     """
 
     def __init__(
@@ -113,6 +117,9 @@ class PhaseWalkTrng:
         self.period_jitter_ps = float(period_jitter_ps)
         self.supply_weight = float(supply_weight)
         self.reference_period_ps = float(reference_period_ps)
+        self._periods_per_sample = self.reference_period_ps / self.period_ps
+        self._phase_sigma = math.sqrt(self.q_factor)
+        self._ramp = np.zeros(0)
 
     @classmethod
     def from_ring(cls, ring: RingOscillator, reference_period_ps: float) -> "PhaseWalkTrng":
@@ -129,7 +136,7 @@ class PhaseWalkTrng:
     # ------------------------------------------------------------------
     @property
     def periods_per_sample(self) -> float:
-        return self.reference_period_ps / self.period_ps
+        return self._periods_per_sample
 
     @property
     def q_factor(self) -> float:
@@ -139,11 +146,19 @@ class PhaseWalkTrng:
     @property
     def phase_sigma_per_sample(self) -> float:
         """Std of the random phase increment per sample, in periods."""
-        return math.sqrt(self.q_factor)
+        return self._phase_sigma
 
     # ------------------------------------------------------------------
     # phase trajectories
     # ------------------------------------------------------------------
+    def _nominal_ramp(self, bit_count: int) -> np.ndarray:
+        """``periods_per_sample * [1..bit_count]``, rebuilt only when the
+        length changes.  Callers must not write into it."""
+        ramp = self._ramp
+        if ramp.size != bit_count:
+            ramp = self._ramp = self._periods_per_sample * np.arange(1, bit_count + 1)
+        return ramp
+
     def deterministic_phase(
         self,
         bit_count: int,
@@ -153,7 +168,7 @@ class PhaseWalkTrng:
         """Noise-free phase at every sampling instant, in periods."""
         if bit_count < 1:
             raise ValueError(f"bit count must be positive, got {bit_count}")
-        nominal = initial_phase + self.periods_per_sample * np.arange(1, bit_count + 1)
+        nominal = initial_phase + self._nominal_ramp(bit_count)
         if modulation is None or self.supply_weight == 0.0:
             return nominal
         sample_times = self.reference_period_ps * np.arange(1, bit_count + 1)
@@ -179,9 +194,16 @@ class PhaseWalkTrng:
         if initial_phase is None:
             initial_phase = float(rng.uniform(0.0, 1.0))
         phase = self.deterministic_phase(bit_count, modulation, initial_phase)
-        if jitter_scale > 0.0 and self.phase_sigma_per_sample > 0.0:
-            increments = rng.normal(
-                0.0, jitter_scale * self.phase_sigma_per_sample, size=bit_count
-            )
-            phase = phase + np.cumsum(increments)
-        return (np.mod(phase, 1.0) < 0.5).astype(int)
+        sigma = jitter_scale * self._phase_sigma
+        if sigma > 0.0:
+            # Same draws and the same rounding as phase + cumsum(increments),
+            # without the temporaries.
+            walk = rng.normal(0.0, sigma, size=bit_count)
+            walk.cumsum(out=walk)
+            walk += phase
+            phase = walk
+        # phase - floor(phase) rounds the exact fraction once, as
+        # np.mod(phase, 1.0) does, so the bits are identical; it is
+        # several times cheaper.
+        phase -= np.floor(phase)
+        return (phase < 0.5).astype(int)

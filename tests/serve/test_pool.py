@@ -8,6 +8,7 @@ from repro.core.campaign import RingSpec
 from repro.faults.base import FaultSchedule, ScheduledFault
 from repro.faults.library import GlitchBurstFault, StuckStageFault, VoltageBrownoutFault
 from repro.serve.pool import ChannelState, PoolConfig, PoolExhaustedError, TrngPool
+from repro.telemetry.registry import Gauge, default_registry
 from repro.trng.supervisor import BackoffSchedule, EventLog
 
 IRO5 = RingSpec("iro", 5)
@@ -40,6 +41,8 @@ def test_config_validation():
         PoolConfig(max_flaps=0)
     with pytest.raises(ValueError):
         PoolConfig(min_healthy=0)
+    with pytest.raises(ValueError):
+        PoolConfig(ledger_window=0)
     with pytest.raises(ValueError):
         TrngPool([])
 
@@ -224,3 +227,85 @@ def test_get_bytes_rejects_nonpositive_count():
     pool = TrngPool([IRO5], seed=4)
     with pytest.raises(ValueError):
         pool.get_bytes(0)
+
+
+def test_ledger_is_a_window_with_exact_lifetime_counters():
+    """Past the window the oldest entries leave, but indices stay
+    continuous and the counters keep counting every entry."""
+    pool = TrngPool([IRO5, STR48], config=PoolConfig(ledger_window=8), seed=4)
+    channel = pool.channels[0]
+    for n in range(20):
+        # Every third entry is an (impossible in practice) emitted block
+        # with alarms, so the SLO counter has something to count.
+        pool._record(channel, "serve", "ok", 1 if n % 3 == 0 else 0, True)
+    pool._record(channel, "probe", "ok", 2, False)
+    assert len(pool.ledger) == 8
+    assert [entry.index for entry in pool.ledger] == list(range(13, 21))
+    assert pool.ledger_total == 21
+    assert pool.unhealthy_emitted_blocks() == 7  # n = 0, 3, ..., 18
+    assert pool.status()["unhealthy_emitted_blocks"] == 7
+
+
+def test_ledger_window_bounds_a_long_run():
+    pool = TrngPool([IRO5, STR48], config=PoolConfig(ledger_window=16), seed=4)
+    pool.get_bytes(64 * 40)
+    assert len(pool.ledger) == 16
+    assert pool.ledger_total == 40
+    assert pool.ledger[-1].index == 39
+    assert pool.unhealthy_emitted_blocks() == 0
+
+
+def _pool_gauges():
+    return {
+        name: value
+        for name, value in default_registry().snapshot().gauges.items()
+        if name.startswith("repro.serve.pool.")
+    }
+
+
+def _assert_gauges_match(pool):
+    gauges = _pool_gauges()
+    assert gauges["repro.serve.pool.healthy"] == pool.healthy_count
+    assert gauges["repro.serve.pool.quarantined"] == len(
+        pool.channels_in(ChannelState.QUARANTINED)
+    )
+    assert gauges["repro.serve.pool.tripped"] == len(pool.channels_in(ChannelState.TRIPPED))
+    assert gauges["repro.serve.pool.brownout"] == float(pool.brownout)
+    for channel in pool.channels:
+        prefix = f"repro.serve.pool.channel.{channel.name}"
+        assert gauges[f"{prefix}.state"] == TrngPool._CHANNEL_STATE_CODES[channel.state]
+        assert gauges[f"{prefix}.flaps"] == channel.flap_count
+
+
+def test_gauges_written_on_transitions_only(monkeypatch):
+    writes = []
+    original = Gauge.set
+
+    def counting_set(gauge, value):
+        if gauge.name.startswith("repro.serve.pool."):
+            writes.append(gauge.name)
+        original(gauge, value)
+
+    monkeypatch.setattr(Gauge, "set", counting_set)
+    pool = TrngPool([IRO5, STR48], seed=6)
+    assert writes  # published once at construction
+    _assert_gauges_match(pool)
+    writes.clear()
+    pool.get_bytes(64 * 50)  # a steady run of 50 clean blocks
+    assert pool.ledger_total == 50
+    assert writes == []
+    pool.inject(VoltageBrownoutFault(0.95))  # the IRO injection-locks
+    pool.get_bytes(1024)
+    assert pool.channels[0].state is ChannelState.QUARANTINED
+    assert writes
+    _assert_gauges_match(pool)
+    pool.clear_fault()
+    for _ in range(200):
+        pool.get_bytes(64)
+        if pool.channels[0].state is ChannelState.HEALTHY:
+            break
+    assert pool.events.first_of_kind("readmit") is not None
+    _assert_gauges_match(pool)
+    writes.clear()
+    pool.get_bytes(64 * 20)
+    assert writes == []

@@ -36,6 +36,28 @@ class TestCutoffs:
         with pytest.raises(ValueError):
             adaptive_proportion_cutoff(0.9, window=4)
 
+    def test_cutoffs_are_memoised(self):
+        adaptive_proportion_cutoff(0.9, 512)
+        before = adaptive_proportion_cutoff.cache_info().hits
+        assert adaptive_proportion_cutoff(0.9, 512) == adaptive_proportion_cutoff(0.9, 512)
+        assert adaptive_proportion_cutoff.cache_info().hits == before + 2
+        repetition_count_cutoff(0.9)
+        before = repetition_count_cutoff.cache_info().hits
+        repetition_count_cutoff(0.9)
+        assert repetition_count_cutoff.cache_info().hits == before + 1
+
+    def test_invalid_arguments_raise_on_every_call(self):
+        """A failed call is not cached: the second call raises too."""
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                repetition_count_cutoff(1.5)
+            with pytest.raises(ValueError):
+                repetition_count_cutoff(0.9, alpha_exponent=0)
+            with pytest.raises(ValueError):
+                adaptive_proportion_cutoff(0.0)
+            with pytest.raises(ValueError):
+                adaptive_proportion_cutoff(0.9, window=8)
+
 
 class TestHealthMonitor:
     def test_good_source_stays_healthy(self):
@@ -97,6 +119,33 @@ class TestHealthMonitor:
             monitor.ingest(np.array([0, 1, 2]))
         with pytest.raises(ValueError):
             monitor.ingest(np.ones((4, 4)))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [0.7, 1.2, 0.3] * 10,
+            np.array([0.0, 1.0, 0.5]),
+            [0, 1, -1],
+            np.array([1, 0, -1], dtype=np.int8),
+            np.array([0, 2, 1], dtype=np.uint8),
+            [0, 1, 2],
+            np.array([0, 1, 2**40], dtype=np.int64),
+        ],
+    )
+    def test_rejects_non_bits_before_casting(self, bad):
+        monitor = HealthMonitor()
+        with pytest.raises(ValueError):
+            monitor.ingest(bad)
+        assert monitor._position == 0
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+    def test_accepts_exact_bits_of_any_dtype(self, dtype):
+        bits = np.random.default_rng(6).integers(0, 2, 1000)
+        reference = HealthMonitor()
+        reference.ingest(bits)
+        monitor = HealthMonitor()
+        assert monitor.ingest(bits.astype(dtype)) == reference.alarms
+        assert monitor._position == 1000
 
     def test_detects_injection_locked_trng(self):
         """End-to-end: a diffusion-free multi-phase model is periodic and
@@ -234,6 +283,72 @@ class TestVectorizedEquivalence:
         state = (monitor._position, monitor._last_bit, monitor._run_length)
         assert monitor.ingest(np.zeros(0, dtype=int)) == []
         assert (monitor._position, monitor._last_bit, monitor._run_length) == state
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+    def test_block_aligned_chunks(self, dtype):
+        """The serving pool's shape: 512-bit chunks, 512-bit windows."""
+        rng = np.random.default_rng(15)
+        bits = np.concatenate(
+            [
+                rng.integers(0, 2, 2048),
+                (rng.random(2048) < 0.8).astype(int),  # proportion alarms
+                np.zeros(100, dtype=int),  # repetition alarms
+                rng.integers(0, 2, 1948),
+            ]
+        ).astype(dtype)
+        vectorized = HealthMonitor(window=512)
+        scalar = ScalarHealthMonitor(window=512)
+        for start in range(0, bits.size, 512):
+            chunk = bits[start : start + 512]
+            assert vectorized.ingest(chunk) == scalar.ingest(chunk)
+        assert vectorized.alarms == scalar.alarms
+        assert {a.test_name for a in vectorized.alarms} == {
+            "repetition_count",
+            "adaptive_proportion",
+        }
+        assert (vectorized._last_bit, vectorized._run_length) == (
+            scalar._last_bit,
+            scalar._run_length,
+        )
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+    def test_runs_straddling_aligned_chunks(self, dtype):
+        """Runs that start in one 64-bit chunk and end one or more chunks
+        later, with and without alarms on the way."""
+        rng = np.random.default_rng(16)
+        pieces = []
+        for length in (30, 64, 90, 130, 10, 200):
+            pieces.append(rng.integers(0, 2, int(rng.integers(5, 40))))
+            pieces.append(np.full(length, length % 2))
+        bits = np.concatenate(pieces).astype(dtype)
+        vectorized = HealthMonitor(window=64)
+        scalar = ScalarHealthMonitor(window=64)
+        for start in range(0, bits.size, 64):
+            chunk = bits[start : start + 64]
+            assert vectorized.ingest(chunk) == scalar.ingest(chunk)
+        assert vectorized.alarms == scalar.alarms
+        assert (vectorized._last_bit, vectorized._run_length) == (
+            scalar._last_bit,
+            scalar._run_length,
+        )
+
+    def test_alarms_on_the_last_bit_of_a_chunk(self):
+        """Both tests fire on a chunk's final bit; the carry restarts."""
+        monitor = HealthMonitor(claimed_min_entropy=1.0, window=42)  # RCT cutoff 21
+        scalar = ScalarHealthMonitor(claimed_min_entropy=1.0, window=42)
+        chunks = [np.zeros(21, dtype=int), np.zeros(21, dtype=int), np.ones(21, dtype=int)]
+        for chunk in chunks:
+            alarms = monitor.ingest(chunk)
+            assert alarms == scalar.ingest(chunk)
+            assert alarms and alarms[-1].position == monitor._position - 1
+            assert (monitor._last_bit, monitor._run_length) == (-1, 0)
+            assert (scalar._last_bit, scalar._run_length) == (-1, 0)
+        assert [a.test_name for a in monitor.alarms] == [
+            "repetition_count",
+            "repetition_count",
+            "adaptive_proportion",
+            "repetition_count",
+        ]
 
     def test_interleaved_order_within_one_bit(self):
         """When both tests fire on the same bit, repetition comes first."""
