@@ -28,7 +28,7 @@ Every transition lands in the same structured
 ``fault_injected``, ``fault_cleared``), and a :class:`LedgerEntry` per
 sampled block records the ground truth the chaos harness asserts on:
 zero emitted blocks with alarms.  The ledger keeps a bounded window of
-recent entries (``PoolConfig.ledger_window``); the entry count and the
+the most recent ``LEDGER_WINDOW`` entries; the entry count and the
 unhealthy-emitted count are running counters, exact over the pool's
 whole life, so memory does not grow with uptime.
 
@@ -60,6 +60,10 @@ from repro.trng.health import HealthMonitor
 from repro.trng.supervisor import BackoffSchedule, EventLog, RingChannel, SupervisorEvent
 
 
+# Entries kept in ``TrngPool.ledger``; older ones leave the window.
+LEDGER_WINDOW = 4096
+
+
 class PoolExhaustedError(RuntimeError):
     """No healthy channel could produce a gated block."""
 
@@ -86,7 +90,6 @@ class PoolConfig:
     )
     max_flaps: int = 8
     min_healthy: int = 2
-    ledger_window: int = 4096
 
     def __post_init__(self) -> None:
         if self.block_bits < 16:
@@ -99,8 +102,6 @@ class PoolConfig:
             raise ValueError(f"max flaps must be positive, got {self.max_flaps}")
         if self.min_healthy < 1:
             raise ValueError(f"min healthy must be positive, got {self.min_healthy}")
-        if self.ledger_window < 1:
-            raise ValueError(f"ledger window must be positive, got {self.ledger_window}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,7 +181,7 @@ class TrngPool:
             for index, spec in enumerate(specs)
         ]
         self.events = EventLog()
-        self.ledger: Deque[LedgerEntry] = collections.deque(maxlen=config.ledger_window)
+        self.ledger: Deque[LedgerEntry] = collections.deque(maxlen=LEDGER_WINDOW)
         self._ledger_total = 0
         self._unhealthy_emitted = 0
         self._buffer = bytearray()
@@ -259,7 +260,7 @@ class TrngPool:
     @property
     def ledger_total(self) -> int:
         """Entries recorded over the pool's life (the ledger holds the
-        most recent ``ledger_window`` of them)."""
+        most recent ``LEDGER_WINDOW`` of them)."""
         return self._ledger_total
 
     def unhealthy_emitted_blocks(self) -> int:

@@ -129,7 +129,7 @@ class HealthMonitor:
         """Process a chunk of bits; return alarms raised by this chunk.
 
         Vectorized: repetition counting works on the run boundaries of
-        the chunk and adaptive proportion on reshaped window sums, so
+        the chunk and adaptive proportion on one count per window, so
         the cost is a few numpy passes instead of a Python loop per bit.
         Alarm positions, details and ordering are identical to a
         bit-at-a-time evaluation (within one bit the repetition test
@@ -210,10 +210,9 @@ class HealthMonitor:
     def _proportion_alarms(self, array: np.ndarray) -> List[HealthAlarm]:
         """Tumbling-window adaptive-proportion test over one chunk.
 
-        Completes the partially filled carry window first, then checks
-        every full window (one count for a single window, else one
-        reshape + row sum), and finally starts the next carry window
-        from the chunk's tail.
+        Completes the partially filled carry window first, then counts
+        every full window, and finally starts the next carry window from
+        the chunk's tail.
         """
         window = self.window
         cutoff = self.proportion_cutoff
@@ -236,26 +235,13 @@ class HealthMonitor:
             offset = head.size
         remaining = array[offset:]
         full = remaining.size // window
-        if full == 1:
-            # The common chunk (one block = one window): no reshape.
-            reference = int(remaining[0])
-            count = _occurrences(remaining[:window], reference)
+        for start in range(0, full * window, window):
+            segment = remaining[start : start + window]
+            reference = int(segment[0])
+            count = _occurrences(segment, reference)
             if count >= cutoff:
                 alarms.append(
-                    self._proportion_alarm(base + offset + window - 1, count, reference)
-                )
-        elif full:
-            blocks = remaining[: full * window].reshape(full, window)
-            references = blocks[:, 0]
-            ones = blocks.sum(axis=1)
-            counts = np.where(references == 1, ones, window - ones)
-            for index in np.flatnonzero(counts >= cutoff):
-                alarms.append(
-                    self._proportion_alarm(
-                        base + offset + (int(index) + 1) * window - 1,
-                        int(counts[index]),
-                        int(references[index]),
-                    )
+                    self._proportion_alarm(base + offset + start + window - 1, count, reference)
                 )
         tail = remaining[full * window :]
         if tail.size:

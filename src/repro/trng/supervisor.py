@@ -334,7 +334,6 @@ class RingChannel:
         )
         self._nominal_model = PhaseWalkTrng.from_ring(ring, self._reference_period_ps)
         self._model_cache: Dict[Tuple[float, float], Optional[PhaseWalkTrng]] = {}
-        self._nominal_resolution = self._translate(NOMINAL_EFFECT)
         self._held_bit = 0
 
     @property
@@ -369,11 +368,6 @@ class RingChannel:
         A ``None`` model means the source produces no entropy in this
         condition; the status string names the physical reason.
         """
-        if effect is NOMINAL_EFFECT:
-            return self._nominal_resolution
-        return self._translate(effect)
-
-    def _translate(self, effect: FaultEffect) -> Tuple[str, Optional[PhaseWalkTrng]]:
         if effect.oscillation_dead:
             return "oscillation_dead", None
         if effect.injection_strength * self._supply_weight >= LOCK_THRESHOLD:

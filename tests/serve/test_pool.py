@@ -7,7 +7,14 @@ import pytest
 from repro.core.campaign import RingSpec
 from repro.faults.base import FaultSchedule, ScheduledFault
 from repro.faults.library import GlitchBurstFault, StuckStageFault, VoltageBrownoutFault
-from repro.serve.pool import ChannelState, PoolConfig, PoolExhaustedError, TrngPool
+from repro.serve import pool as pool_module
+from repro.serve.pool import (
+    LEDGER_WINDOW,
+    ChannelState,
+    PoolConfig,
+    PoolExhaustedError,
+    TrngPool,
+)
 from repro.telemetry.registry import Gauge, default_registry
 from repro.trng.supervisor import BackoffSchedule, EventLog
 
@@ -41,8 +48,6 @@ def test_config_validation():
         PoolConfig(max_flaps=0)
     with pytest.raises(ValueError):
         PoolConfig(min_healthy=0)
-    with pytest.raises(ValueError):
-        PoolConfig(ledger_window=0)
     with pytest.raises(ValueError):
         TrngPool([])
 
@@ -232,22 +237,27 @@ def test_get_bytes_rejects_nonpositive_count():
 def test_ledger_is_a_window_with_exact_lifetime_counters():
     """Past the window the oldest entries leave, but indices stay
     continuous and the counters keep counting every entry."""
-    pool = TrngPool([IRO5, STR48], config=PoolConfig(ledger_window=8), seed=4)
+    pool = TrngPool([IRO5, STR48], seed=4)
     channel = pool.channels[0]
-    for n in range(20):
+    total = LEDGER_WINDOW + 20
+    for n in range(total - 1):
         # Every third entry is an (impossible in practice) emitted block
         # with alarms, so the SLO counter has something to count.
         pool._record(channel, "serve", "ok", 1 if n % 3 == 0 else 0, True)
     pool._record(channel, "probe", "ok", 2, False)
-    assert len(pool.ledger) == 8
-    assert [entry.index for entry in pool.ledger] == list(range(13, 21))
-    assert pool.ledger_total == 21
-    assert pool.unhealthy_emitted_blocks() == 7  # n = 0, 3, ..., 18
-    assert pool.status()["unhealthy_emitted_blocks"] == 7
+    assert len(pool.ledger) == LEDGER_WINDOW
+    assert [entry.index for entry in pool.ledger] == list(
+        range(total - LEDGER_WINDOW, total)
+    )
+    assert pool.ledger_total == total
+    unhealthy = len(range(0, total - 1, 3))
+    assert pool.unhealthy_emitted_blocks() == unhealthy
+    assert pool.status()["unhealthy_emitted_blocks"] == unhealthy
 
 
-def test_ledger_window_bounds_a_long_run():
-    pool = TrngPool([IRO5, STR48], config=PoolConfig(ledger_window=16), seed=4)
+def test_ledger_window_bounds_a_long_run(monkeypatch):
+    monkeypatch.setattr(pool_module, "LEDGER_WINDOW", 16)
+    pool = TrngPool([IRO5, STR48], seed=4)
     pool.get_bytes(64 * 40)
     assert len(pool.ledger) == 16
     assert pool.ledger_total == 40
