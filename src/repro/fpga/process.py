@@ -20,7 +20,7 @@ sigma of ~1.35 % (see ``repro.fpga.calibration``): the 3-stage IRO at
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -166,33 +166,42 @@ class ProcessVariation:
         That identity is what makes chunked/parallel PUF enrollment
         independent of chunk boundaries and job counts: any contiguous
         slice of the population can be manufactured in any process and
-        still yield the same factors.
+        still yield the same factors.  A ``None`` root draws one fresh
+        OS-entropy root for the whole batch.
         """
-        from repro.parallel.seeds import spawn_seeds
+        from repro.parallel.seeds import child_seeds, root_entropy
 
         if count < 0:
             raise ValueError(f"device count must be non-negative, got {count}")
-        return self.sample_devices(lut_count, spawn_seeds(seed, count))
+        return self.sample_devices(
+            lut_count, child_seeds(root_entropy(seed), np.arange(count))
+        )
 
-    def sample_devices(
-        self, lut_count: int, seeds: Sequence[Optional[int]]
-    ) -> DeviceVariationBatch:
-        """Manufacture one device per seed, stacked into a batch.
+    def sample_devices(self, lut_count: int, seeds) -> DeviceVariationBatch:
+        """Manufacture one device per integer seed, stacked into a batch.
 
-        This is the chunk-level entry point of
-        :meth:`sample_device_batch`: the enrollment pipeline spawns the
-        whole population's child seeds once, then hands each worker its
-        contiguous slice.
+        Row ``i`` is ``sample_device(lut_count, seeds[i])`` bit for bit.
+        Each device's normals — the global one first, then one per LUT,
+        skipping a layer whose sigma is zero as :meth:`sample_device`
+        does — come from :func:`repro.parallel.seeds.standard_normal_rows`
+        in one ``(device, draw)`` matrix; ``N(1, sigma^2)`` is then
+        ``1.0 + sigma * z``, as NumPy's ``normal`` computes it, clipped
+        once per layer.
         """
+        from repro.parallel.seeds import standard_normal_rows
+
         if lut_count < 1:
             raise ValueError(f"lut_count must be positive, got {lut_count}")
         count = len(seeds)
-        global_factors = np.empty(count, dtype=float)
-        lut_factors = np.empty((count, lut_count), dtype=float)
-        for index, child in enumerate(seeds):
-            rng = make_rng(child)
-            global_factors[index] = _positive_normal(rng, self.global_sigma_rel, size=None)
-            lut_factors[index] = _positive_normal(rng, self.local_sigma_rel, size=lut_count)
+        draws_global = int(self.global_sigma_rel > 0.0)
+        draws_local = lut_count if self.local_sigma_rel > 0.0 else 0
+        normals = standard_normal_rows(seeds, draws_global + draws_local)
+        global_factors = np.ones(count)
+        lut_factors = np.ones((count, lut_count))
+        if draws_global:
+            global_factors = _positive_factors(normals[:, 0], self.global_sigma_rel)
+        if draws_local:
+            lut_factors = _positive_factors(normals[:, draws_global:], self.local_sigma_rel)
         return DeviceVariationBatch(global_factors=global_factors, lut_factors=lut_factors)
 
     @classmethod
@@ -208,3 +217,9 @@ def _positive_normal(rng: np.random.Generator, sigma: float, size: Optional[int]
     draw = rng.normal(1.0, sigma, size=size)
     floor = max(1.0 - 3.0 * sigma, 1e-3)
     return np.clip(draw, floor, None)
+
+
+def _positive_factors(normals: np.ndarray, sigma: float) -> np.ndarray:
+    """:func:`_positive_normal` of each standard normal draw in ``normals``."""
+    factors = 1.0 + sigma * normals
+    return np.maximum(factors, max(1.0 - 3.0 * sigma, 1e-3), out=factors)

@@ -7,8 +7,9 @@ of independent event-driven simulations.  This package supplies the
 pieces that let those grids scale with cores — and across hosts —
 without giving up reproducibility:
 
-* :mod:`repro.parallel.seeds` — deterministic per-point seed derivation
-  via ``numpy.random.SeedSequence.spawn``, so a parallel run is
+* :mod:`repro.parallel.seeds` — deterministic per-point seed derivation,
+  bit-identical to ``numpy.random.SeedSequence.spawn`` and computed by
+  one vectorised kernel, so a parallel run is
   bit-identical to a serial one and grid points get independent noise
   streams (instead of the historical single reused seed);
 * :mod:`repro.parallel.cache` — a content-addressed on-disk result

@@ -42,7 +42,10 @@ Determinism
 -----------
 Device ``i`` always draws from child seed ``i`` of the population root
 (see :meth:`ProcessVariation.sample_device_batch`), so responses are
-independent of ``jobs`` and chunk boundaries.  Measurement noise is
+independent of ``jobs`` and chunk boundaries.  A chunk task carries only
+``(root, start, stop)``: each worker derives its own slice of child
+seeds with the vectorised kernel of :mod:`repro.parallel.seeds`, so the
+parent's work is O(chunks), not O(devices).  Measurement noise is
 keyed by ``(measurement_seed, corner index, chunk start)``; with the
 default chunk size it too is jobs-independent.
 """
@@ -60,7 +63,7 @@ from repro.fpga.placement import Placement, place_ring
 from repro.fpga.process import DeviceVariationBatch, ProcessVariation
 from repro.fpga.voltage import SupplySpec
 from repro.parallel import GridTask, run_grid
-from repro.parallel.seeds import spawn_seeds
+from repro.parallel.seeds import child_seeds, root_entropy
 from repro.puf.topology import derive_response_bits, response_bit_count, validate_topology
 from repro.telemetry import default_registry, span
 
@@ -250,9 +253,11 @@ def _measure_chunk_worker(task: GridTask):
     corners: Tuple[SupplySpec, ...] = payload["corners"]
     process: ProcessVariation = payload["process"]
     constants: TimingConstants = payload["constants"]
-    batch = process.sample_devices(
-        required_lut_count(design, constants), payload["device_seeds"]
+    # A None root draws fresh OS entropy once per chunk.
+    device_seeds = child_seeds(
+        root_entropy(payload["root"]), np.arange(payload["start"], payload["stop"])
     )
+    batch = process.sample_devices(required_lut_count(design, constants), device_seeds)
     responses: List[np.ndarray] = []
     frequency_sum = 0.0
     for corner_index, corner in enumerate(corners):
@@ -324,6 +329,7 @@ def measure_population(
     process = process if process is not None else TABLE2_PROCESS
     constants = constants if constants is not None else TimingConstants()
     noise_root = measurement_seed if measurement_seed is not None else seed
+    root = None if seed is None else root_entropy(seed)
 
     start_time = time.perf_counter()
     with span(
@@ -333,16 +339,15 @@ def measure_population(
         corners=len(corners),
         topology=design.topology,
     ):
-        device_seeds = spawn_seeds(seed, device_count)
         tasks = []
         for chunk_start in range(0, device_count, CHUNK_DEVICES):
-            chunk_seeds = device_seeds[chunk_start : chunk_start + CHUNK_DEVICES]
+            chunk_stop = min(chunk_start + CHUNK_DEVICES, device_count)
             tasks.append(
                 GridTask(
                     kind="puf_enroll",
                     spec={
                         "start": chunk_start,
-                        "devices": len(chunk_seeds),
+                        "devices": chunk_stop - chunk_start,
                         "corners": len(corners),
                     },
                     seed=noise_root,
@@ -351,9 +356,10 @@ def measure_population(
                         "corners": corners,
                         "process": process,
                         "constants": constants,
-                        "device_seeds": chunk_seeds,
+                        "root": root,
                         "noise_root": noise_root,
                         "start": chunk_start,
+                        "stop": chunk_stop,
                     },
                 )
             )

@@ -192,7 +192,8 @@ class PhaseWalkTrng:
         """
         rng = make_rng(seed)
         if initial_phase is None:
-            initial_phase = float(rng.uniform(0.0, 1.0))
+            # uniform(0.0, 1.0) is 0.0 + 1.0 * random(): the same double.
+            initial_phase = rng.random()
         phase = self.deterministic_phase(bit_count, modulation, initial_phase)
         sigma = jitter_scale * self._phase_sigma
         if sigma > 0.0:
