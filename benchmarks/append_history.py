@@ -15,12 +15,6 @@ Each line is a self-contained JSON object::
 
 ``--render`` prints the last few rows as a table (newest last) for the
 job log, so a drift is visible without downloading anything.
-
-``--snapshot BENCH_history.json`` additionally writes a bounded JSON
-*document* (newest-last ``rows`` plus an ``updated`` stamp) meant to
-live at the repo root under version control — the committed trajectory
-seed that ``check_regression.py --history`` reads for its slow-drift
-warning even on a cold CI cache.
 """
 
 from __future__ import annotations
@@ -50,22 +44,6 @@ def load_history(history_path: str) -> List[dict]:
         return []
 
 
-#: Rows kept in the committed snapshot document — enough trajectory for
-#: the drift warning without growing the repo forever.
-SNAPSHOT_ROWS = 20
-
-
-def write_snapshot(history: List[dict], snapshot_path: str) -> None:
-    """Write the trailing history as a committed JSON document."""
-    document = {
-        "updated": history[-1]["utc"] if history else "",
-        "rows": history[-SNAPSHOT_ROWS:],
-    }
-    with open(snapshot_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def render(rows: List[dict], tail: int = 10) -> str:
     """The last ``tail`` rows as a fixed-width table, newest last."""
     rows = rows[-tail:]
@@ -93,13 +71,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--render", action="store_true", help="print the trailing history table"
     )
-    parser.add_argument(
-        "--snapshot",
-        default=None,
-        metavar="FILE",
-        help="also write the trailing rows as a committed JSON document "
-        "(e.g. BENCH_history.json at the repo root)",
-    )
     args = parser.parse_args(argv)
 
     means = load_means(args.bench_json)
@@ -120,9 +91,6 @@ def main(argv=None) -> int:
         for entry in history:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
     print(f"appended {args.sha[:9]} ({len(means)} benchmarks) -> {args.history}")
-    if args.snapshot:
-        write_snapshot(history, args.snapshot)
-        print(f"snapshot ({min(len(history), SNAPSHOT_ROWS)} rows) -> {args.snapshot}")
     if args.render:
         print()
         print(render(history))

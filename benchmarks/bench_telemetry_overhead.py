@@ -4,8 +4,8 @@ Two guards around the telemetry layer's core promise:
 
 * ``bench_telemetry`` — a tracked benchmark (gated through
   ``reference_timings.json``) running a small event-backend
-  ``jitter_versus_length`` campaign — the span-heaviest path: grid
-  points, per-point measurement and simulation spans — with telemetry
+  ``jitter_versus_length`` campaign — per-length measurement and
+  simulation spans on the event engine — with telemetry
   in its default state (null sink, live registry), so a future change
   that makes the instrumented hot paths expensive trips the CI
   regression gate;
@@ -40,8 +40,6 @@ def _small_run() -> None:
         "str",
         period_count=_PERIODS,
         seed=0,
-        jobs=1,
-        cache=None,
         backend="event",
     )
 

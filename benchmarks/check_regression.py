@@ -21,8 +21,8 @@ pool — not 10% scheduler noise.  The allowed factor can be widened for a
 known-slow runner with ``--factor`` or ``REPRO_BENCH_FACTOR``.
 
 Below the hard gate sits a *soft* trajectory check: with ``--history``
-pointing at the rolling history (the JSONL from ``append_history.py``
-or the committed ``BENCH_history.json`` snapshot), a benchmark whose
+pointing at the rolling history (the JSONL from ``append_history.py``),
+a benchmark whose
 mean rose monotonically across the last three runs (history tail plus
 this export) by ``--drift-factor`` (default 1.3x) overall prints a
 ``DRIFT WARNING`` in the job log — it never fails the gate, it makes
@@ -91,26 +91,9 @@ def check(
 
 
 def load_history_means(history_path: str) -> List[Dict[str, float]]:
-    """Per-run mean maps, oldest first, from either history format.
-
-    Accepts the rolling JSONL (one row object per line) *and* the
-    committed snapshot document (``{"rows": [...]}``) so the gate works
-    the same from a warm CI cache or a cold checkout.
-    """
+    """Per-run mean maps, oldest first, from the rolling JSONL history."""
     with open(history_path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    rows: List[dict]
-    try:
-        # Snapshot document: the whole file is one JSON object with a
-        # "rows" key.  (A single-line JSONL also parses here but has no
-        # "rows" — fall through so the row is not silently dropped.)
-        document = json.loads(text)
-        if not (isinstance(document, dict) and "rows" in document):
-            raise json.JSONDecodeError("not a snapshot document", text, 0)
-        rows = document["rows"]
-    except json.JSONDecodeError:
-        # Rolling JSONL: one row object per line.
-        rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+        rows = [json.loads(line) for line in handle if line.strip()]
     return [
         {name: float(value) for name, value in row.get("means", {}).items()}
         for row in rows
@@ -180,8 +163,7 @@ def main(argv=None) -> int:
         "--history",
         default=None,
         metavar="FILE",
-        help="rolling history (JSONL) or committed snapshot (JSON) for "
-        "the soft monotonic-drift warning",
+        help="rolling history (JSONL) for the soft monotonic-drift warning",
     )
     parser.add_argument(
         "--drift-factor",

@@ -7,11 +7,15 @@ Commands
 ``run <ID> [<ID> ...]``
     Run experiments by id and print their reports; exits non-zero if any
     structural check fails.  ``--jobs N`` fans grid-shaped experiments
-    (FIG8, TAB2, FIG11, FIG12, EXT10) out over worker processes;
-    ``--no-cache`` disables the on-disk result cache.
+    (EXT10, EXT11, EXT12) out over worker processes; ``--no-cache``
+    disables the on-disk result cache (EXT10, EXT12); ``--backend``
+    picks the simulation engine (FIG11, FIG12).  A flag given to an
+    experiment that does not take it exits 2 before anything runs.
 ``campaign``
     Run the full Section V characterization campaign over an arbitrary
-    set of ring specs (``iro:5 str:96 ...``), parallel and cached.
+    set of ring specs (``iro:5 str:96 ...``), parallel and cached on
+    the event backend (``--jobs``/``--no-cache`` are refused with
+    ``--backend batch``).
 ``report``
     Print the paper's STR-vs-IRO comparison on a fresh five-board bank.
 ``calibration``
@@ -19,7 +23,7 @@ Commands
 ``faults``
     Run a fault scenario against the supervised TRNG runtime and print
     the structured event log (plus the EXT10 coverage matrix with
-    ``--matrix``, which honours ``--jobs``/``--no-cache``).
+    ``--matrix``, the only mode that takes ``--jobs``/``--no-cache``).
 ``merge``
     Combine the shard directories written by ``--shard I/N --shard-dir``
     runs (``campaign``, ``verify``, shardable experiments) and reassemble
@@ -69,7 +73,7 @@ import argparse
 import inspect
 import sys
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.experiments import EXPERIMENT_IDS, get_experiment, run_experiment
 from repro.experiments.registry import experiment_title
@@ -152,21 +156,46 @@ def _cli_cache(args: argparse.Namespace):
     return default_cache()
 
 
-def _parallel_overrides(runner, args: argparse.Namespace) -> Dict[str, Any]:
-    """``jobs``/``cache`` keyword overrides, filtered to what ``runner`` accepts.
+def _given_run_flags(args: argparse.Namespace) -> List[Tuple[str, str]]:
+    """``(flag, run parameter)`` for each of ``--jobs``/``--no-cache``/``--backend`` given."""
+    given = []
+    if args.jobs is not None:
+        given.append(("--jobs", "jobs"))
+    if args.no_cache:
+        given.append(("--no-cache", "cache"))
+    if getattr(args, "backend", None) is not None:
+        given.append(("--backend", "backend"))
+    return given
 
-    Experiments that are not grid-shaped simply don't take the
-    parameters; the flags then have no effect rather than erroring.
+
+def _run_overrides(experiment_id: str, args: argparse.Namespace) -> Dict[str, Any]:
+    """``jobs``/``cache``/``backend`` keyword overrides for one experiment.
+
+    Raises ``ValueError`` naming the experiment and the flag when a flag
+    was given but the experiment's ``run`` has no such parameter: a flag
+    that selects nothing is refused, never silently dropped.
     """
-    parameters = inspect.signature(runner).parameters
+    parameters = inspect.signature(get_experiment(experiment_id)).parameters
+    for flag, name in _given_run_flags(args):
+        if name not in parameters:
+            raise ValueError(
+                f"{experiment_id.upper()} does not take {flag} "
+                f"(its run() has no {name!r} parameter)"
+            )
     overrides: Dict[str, Any] = {}
-    if "jobs" in parameters and args.jobs is not None:
+    if args.jobs is not None:
         overrides["jobs"] = args.jobs
     if "cache" in parameters:
         overrides["cache"] = _cli_cache(args)
-    if "backend" in parameters and getattr(args, "backend", None) is not None:
+    if getattr(args, "backend", None) is not None:
         overrides["backend"] = args.backend
     return overrides
+
+
+def _refuse_flags(flags: List[str], reason: str) -> int:
+    """Report flags that would select nothing; the exit status is 2."""
+    print(f"{', '.join(flags)}: {reason}", file=sys.stderr)
+    return 2
 
 
 #: Experiments whose grids can run as shards (id -> shard runner factory).
@@ -195,6 +224,12 @@ def _command_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+        refused = [flag for flag, _ in _given_run_flags(args) if flag != "--jobs"]
+        if refused:
+            return _refuse_flags(
+                refused, "not used with --shard (a shard always caches "
+                "into its --shard-dir and takes no backend)"
+            )
         stats = GridStats()
         try:
             run = shardable[ids[0]](
@@ -211,10 +246,17 @@ def _command_run(args: argparse.Namespace) -> int:
         _print_grid_stats(stats, args.json)
         return 0
 
+    try:
+        overrides = {
+            experiment_id: _run_overrides(experiment_id, args)
+            for experiment_id in args.ids
+        }
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
     failures = []
     for experiment_id in args.ids:
-        runner = get_experiment(experiment_id)
-        result = run_experiment(experiment_id, **_parallel_overrides(runner, args))
+        result = run_experiment(experiment_id, **overrides[experiment_id])
         if args.json:
             print(result.to_json())
         else:
@@ -308,6 +350,11 @@ def _command_campaign(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+        if args.no_cache:
+            return _refuse_flags(
+                ["--no-cache"], "not used with --shard (a shard always "
+                "caches into its --shard-dir)"
+            )
         try:
             run = run_campaign_shard(
                 specs,
@@ -332,6 +379,13 @@ def _command_campaign(args: argparse.Namespace) -> int:
         _print_grid_stats(stats, args.json)
         return 0
 
+    if args.backend == "batch":
+        refused = [flag for flag, _ in _given_run_flags(args) if flag != "--backend"]
+        if refused:
+            return _refuse_flags(
+                refused, "not used by '--backend batch' (the kernels run "
+                "in-process, uncached)"
+            )
     bank = BoardBank.manufacture(board_count=args.boards, seed=args.bank_seed)
     report = run_campaign(
         specs,
@@ -450,10 +504,12 @@ def _command_faults(args: argparse.Namespace) -> int:
     from repro.trng.supervisor import RecoveryPolicy, SupervisedTrng
 
     if args.matrix:
-        runner = get_experiment("EXT10")
-        result = runner(**_parallel_overrides(runner, args))
+        result = get_experiment("EXT10")(**_run_overrides("EXT10", args))
         print(result.render())
         return 0 if result.all_checks_pass else 1
+    refused = [flag for flag, _ in _given_run_flags(args)]
+    if refused:
+        return _refuse_flags(refused, "only used by 'faults --matrix'")
 
     if args.fault == "demo":
         scenario = demo_schedule(args.severity, onset_s=args.onset)

@@ -17,7 +17,7 @@ else implementing :class:`~repro.rings.base.RingOscillator`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from repro.measurement.jitter import (
     measure_period_jitter_direct,
     measure_period_jitter_divider,
 )
-from repro.parallel.cache import ResultCache, fingerprint
-from repro.parallel.executor import GridTask, run_grid
 from repro.parallel.seeds import spawn_seeds
 from repro.rings.base import RingOscillator
 from repro.simulation.noise import SeedLike
@@ -40,25 +38,12 @@ from repro.stats.descriptive import (
     normalized_frequencies,
     relative_standard_deviation,
 )
-from repro.stats.normality import NormalityReport
 from repro.telemetry import get_logger, span
 
 _log = get_logger("repro.core.characterization")
 
 #: Resolves a ring oscillator on a board.
 RingBuilder = Callable[[Board], RingOscillator]
-
-def _measure_frequency_worker(task: GridTask) -> float:
-    """Grid worker: mean frequency of one resolved ring on the event oracle.
-
-    The backend is pinned, not defaulted: the cache keys of measured
-    sweeps and dispersion grids name event-engine results.
-    """
-    payload = task.payload
-    trace = payload["ring"].simulate(
-        payload["period_count"], seed=task.seed, backend="event"
-    ).trace
-    return float(trace.mean_frequency_mhz())
 
 
 # ----------------------------------------------------------------------
@@ -100,51 +85,26 @@ def sweep_voltage(
     board: Board,
     ring_builder: RingBuilder,
     voltages_v: Sequence[float],
-    measure: bool = False,
-    period_count: int = 64,
-    seed: Optional[int] = 0,
-    jobs: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
 ) -> VoltageSweepResult:
     """Sweep the core supply and record the ring frequency at each point.
 
-    ``measure=False`` reads the analytical frequency (exact, instant);
-    ``measure=True`` runs the event-engine simulation at each point, as a
-    real campaign would.  Measured sweeps fan out over ``jobs`` worker
-    processes and consult the result ``cache``; each voltage point gets
-    its own seed spawned from the integer root ``seed`` (a
-    ``numpy.random.Generator`` raises ``TypeError``).
+    Frequencies are the analytical ones (exact, instant); a simulated
+    reading of one point is ``ring.measure_frequency_mhz()`` on
+    ``board.with_supply(...)``.
     """
     if len(voltages_v) < 2:
         raise ValueError("a sweep needs at least two voltage points")
-    with span("sweep_voltage", points=len(voltages_v), measured=bool(measure)):
+    with span("sweep_voltage", points=len(voltages_v)):
         rings = [
             ring_builder(board.with_supply(SupplySpec(voltage_v=float(voltage))))
             for voltage in voltages_v
         ]
-        name = rings[-1].name
-        if not measure:
-            frequencies = [ring.predicted_frequency_mhz() for ring in rings]
-        else:
-            seeds = spawn_seeds(seed, len(rings))
-            tasks = [
-                GridTask(
-                    kind="sweep_point",
-                    spec={
-                        "ring": fingerprint(ring),
-                        "voltage_v": float(voltage),
-                        "period_count": period_count,
-                    },
-                    seed=point_seed,
-                    payload={"ring": ring, "period_count": period_count},
-                )
-                for ring, voltage, point_seed in zip(rings, voltages_v, seeds)
-            ]
-            frequencies = run_grid(tasks, _measure_frequency_worker, jobs=jobs, cache=cache)
         return VoltageSweepResult(
-            ring_name=name,
+            ring_name=rings[-1].name,
             voltages_v=np.asarray(voltages_v, dtype=float),
-            frequencies_mhz=np.asarray(frequencies, dtype=float),
+            frequencies_mhz=np.asarray(
+                [ring.predicted_frequency_mhz() for ring in rings], dtype=float
+            ),
             nominal_voltage_v=NOMINAL_CORE_VOLTAGE,
         )
 
@@ -173,45 +133,16 @@ class FamilyDispersionResult:
 def measure_family_dispersion(
     bank: BoardBank,
     ring_builder: RingBuilder,
-    measure: bool = False,
-    period_count: int = 64,
-    seed: Optional[int] = 0,
-    jobs: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
 ) -> FamilyDispersionResult:
-    """Send the same "bitstream" to every board and compare frequencies.
-
-    Measured runs parallelize across boards (``jobs``) with per-board
-    seeds spawned from the integer root ``seed``, so no two boards see
-    the same noise stream (a ``numpy.random.Generator`` raises
-    ``TypeError``).
-    """
-    with span("family_dispersion", boards=len(bank), measured=bool(measure)):
+    """Send the same "bitstream" to every board and compare frequencies."""
+    with span("family_dispersion", boards=len(bank)):
         rings = [ring_builder(board) for board in bank]
-        names = tuple(board.name for board in bank)
-        ring_name = rings[-1].name
-        if not measure:
-            frequencies = [ring.predicted_frequency_mhz() for ring in rings]
-        else:
-            seeds = spawn_seeds(seed, len(rings))
-            tasks = [
-                GridTask(
-                    kind="dispersion_point",
-                    spec={
-                        "ring": fingerprint(ring),
-                        "board": board.name,
-                        "period_count": period_count,
-                    },
-                    seed=point_seed,
-                    payload={"ring": ring, "period_count": period_count},
-                )
-                for ring, board, point_seed in zip(rings, bank, seeds)
-            ]
-            frequencies = run_grid(tasks, _measure_frequency_worker, jobs=jobs, cache=cache)
         return FamilyDispersionResult(
-            ring_name=ring_name,
-            board_names=names,
-            frequencies_mhz=np.asarray(frequencies, dtype=float),
+            ring_name=rings[-1].name,
+            board_names=tuple(board.name for board in bank),
+            frequencies_mhz=np.asarray(
+                [ring.predicted_frequency_mhz() for ring in rings], dtype=float
+            ),
         )
 
 
@@ -304,48 +235,6 @@ def measure_period_jitter(
             period_count, seed=seed, warmup_periods=warmup_periods, backend=backend
         )
         return jitter_from_trace(ring, result.trace, method, seed, divider)
-
-
-def _jitter_result_to_payload(result: JitterMeasurementResult) -> Dict[str, Any]:
-    """JSON-able form of a jitter measurement (for grid workers/cache)."""
-    payload = dataclasses.asdict(result)
-    return payload
-
-
-def _jitter_result_from_payload(payload: Dict[str, Any]) -> JitterMeasurementResult:
-    """Rebuild a jitter measurement from :func:`_jitter_result_to_payload`."""
-    reading = payload.get("divider_reading")
-    divider_reading = None
-    if reading is not None:
-        divider_reading = DividerJitterReading(
-            **{**reading, "normality": NormalityReport(**reading["normality"])}
-        )
-    return JitterMeasurementResult(
-        ring_name=payload["ring_name"],
-        stage_count=payload["stage_count"],
-        sigma_period_ps=payload["sigma_period_ps"],
-        mean_period_ps=payload["mean_period_ps"],
-        method=payload["method"],
-        divider_reading=divider_reading,
-    )
-
-
-def _jitter_point_worker(task: GridTask) -> Dict[str, Any]:
-    """Grid worker: full jitter measurement of one resolved ring.
-
-    Only the event path of :func:`jitter_versus_length` builds these
-    tasks, so the worker pins the event oracle its cache keys name.
-    """
-    payload = task.payload
-    result = measure_period_jitter(
-        payload["ring"],
-        method=payload["method"],
-        period_count=payload["period_count"],
-        seed=task.seed,
-        warmup_periods=payload["warmup_periods"],
-        backend="event",
-    )
-    return _jitter_result_to_payload(result)
 
 
 #: Replica fan-out of the batched STR jitter driver: one long run is
@@ -442,8 +331,6 @@ def jitter_versus_length(
     method: str = "population",
     period_count: int = 4096,
     seed: Optional[int] = 0,
-    jobs: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
     backend: str = "batch",
 ) -> List[JitterMeasurementResult]:
     """Period jitter as a function of ring length (Figs. 11 and 12).
@@ -451,10 +338,9 @@ def jitter_versus_length(
     Every length gets its own seed spawned from the integer root
     ``seed`` (a ``numpy.random.Generator`` raises ``TypeError``), on
     either backend.  ``backend="batch"`` (default) advances every length
-    in one vectorized kernel call (``jobs``/``cache`` are ignored — the
-    kernel outruns the process pool by a wide margin).  ``backend="event"``
-    runs the oracle instead, one grid task per ring length fanned out
-    over ``jobs`` processes and cached per point.
+    in one vectorized kernel call.  ``backend="event"`` runs the oracle
+    instead: :func:`measure_period_jitter` on the event engine, one
+    length after another, in-process.
     """
     from repro.rings.iro import InverterRingOscillator
     from repro.rings.str_ring import SelfTimedRing
@@ -483,34 +369,21 @@ def jitter_versus_length(
             results = _jitter_versus_length_batch(
                 rings, ring_family, method, period_count, seeds
             )
-            _log.info(
-                "jitter_versus_length.complete",
-                family=ring_family,
-                points=len(results),
-                backend=backend,
-            )
-            return results
-        tasks = [
-            GridTask(
-                kind="jitter_point",
-                spec={
-                    "ring": fingerprint(ring),
-                    "length": int(length),
-                    "family": ring_family,
-                    "method": method,
-                    "period_count": period_count,
-                    "warmup_periods": JITTER_WARMUP_PERIODS,
-                },
-                seed=point_seed,
-                payload={
-                    "ring": ring,
-                    "method": method,
-                    "period_count": period_count,
-                    "warmup_periods": JITTER_WARMUP_PERIODS,
-                },
-            )
-            for ring, length, point_seed in zip(rings, lengths, seeds)
-        ]
-        payloads = run_grid(tasks, _jitter_point_worker, jobs=jobs, cache=cache)
-        _log.info("jitter_versus_length.complete", family=ring_family, points=len(payloads))
-        return [_jitter_result_from_payload(payload) for payload in payloads]
+        else:
+            results = [
+                measure_period_jitter(
+                    ring,
+                    method=method,
+                    period_count=period_count,
+                    seed=point_seed,
+                    backend="event",
+                )
+                for ring, point_seed in zip(rings, seeds)
+            ]
+        _log.info(
+            "jitter_versus_length.complete",
+            family=ring_family,
+            points=len(results),
+            backend=backend,
+        )
+        return results

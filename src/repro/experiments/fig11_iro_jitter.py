@@ -24,16 +24,13 @@ def run(
     lengths: Sequence[int] = FIG11_LENGTHS,
     period_count: int = 3000,
     seed: int = 13,
-    jobs: Optional[int] = 1,
-    cache=None,
     backend: str = "batch",
 ) -> ExperimentResult:
     """Reproduce the Fig. 11 jitter-vs-length curve and the sigma_g fit.
 
     Defaults to the vectorized batch backend, which advances every
     length at once and is bit-identical to the event engine for IROs;
-    ``backend="event"`` fans one grid task per ring length out over
-    ``jobs`` processes (with ``cache`` reuse) instead.
+    ``backend="event"`` runs the event oracle, one length at a time.
     """
     board = board if board is not None else Board()
     results = jitter_versus_length(
@@ -43,8 +40,6 @@ def run(
         method="population",
         period_count=period_count,
         seed=seed,
-        jobs=jobs,
-        cache=cache,
         backend=backend,
     )
     rows: List[Tuple] = []

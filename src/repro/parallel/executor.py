@@ -169,11 +169,8 @@ def _run_chunk(
     }
 
 
-def _chunk_indices(pending: List[int], jobs: int, chunk_size: Optional[int]) -> List[List[int]]:
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(len(pending) / (jobs * _CHUNKS_PER_JOB)))
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+def _chunk_indices(pending: List[int], jobs: int) -> List[List[int]]:
+    chunk_size = max(1, math.ceil(len(pending) / (jobs * _CHUNKS_PER_JOB)))
     return [pending[start : start + chunk_size] for start in range(0, len(pending), chunk_size)]
 
 
@@ -183,7 +180,6 @@ def run_grid(
     *,
     jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
-    chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     stats: Optional[GridStats] = None,
 ) -> List[Any]:
@@ -202,8 +198,6 @@ def run_grid(
     cache:
         Optional :class:`ResultCache`; hits skip the worker entirely and
         fresh results are written back.
-    chunk_size:
-        Tasks per pool dispatch; default targets a few chunks per job.
     progress:
         Optional ``callback(done, total)``; cache hits are reported
         up-front as already done.
@@ -242,7 +236,7 @@ def run_grid(
         completed = False
         if job_count > 1 and len(pending) > 1:
             completed = _run_parallel(
-                tasks, pending, worker, job_count, chunk_size, cache, progress, done, total, results
+                tasks, pending, worker, job_count, cache, progress, done, total, results
             )
         if not completed:
             _run_serial(tasks, pending, worker, cache, progress, done, total, results)
@@ -281,7 +275,6 @@ def _run_parallel(
     pending: List[int],
     worker: Callable[[GridTask], Any],
     jobs: int,
-    chunk_size: Optional[int],
     cache: Optional[ResultCache],
     progress: Optional[ProgressCallback],
     done: int,
@@ -303,7 +296,7 @@ def _run_parallel(
     into the parent sink with worker-root spans re-parented onto the
     enclosing ``run_grid`` span.
     """
-    chunks = _chunk_indices(pending, jobs, chunk_size)
+    chunks = _chunk_indices(pending, jobs)
     capture_trace = sink_enabled()
     registry = default_registry()
     parent_span_id = None

@@ -220,7 +220,6 @@ def run_shard(
     workload: Optional[Dict[str, Any]] = None,
     version: str = "",
     jobs: Optional[int] = 1,
-    chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     stats: Optional[GridStats] = None,
 ) -> ShardRun:
@@ -271,7 +270,6 @@ def run_shard(
             worker,
             jobs=jobs,
             cache=cache,
-            chunk_size=chunk_size,
             progress=progress,
             stats=run_stats,
         )

@@ -247,21 +247,23 @@ def population_frequencies(
 # chunked population drivers
 # ----------------------------------------------------------------------
 def _measure_chunk_worker(task: GridTask):
-    """Manufacture one device chunk and measure it at every corner."""
+    """Manufacture one device chunk and measure it at every corner.
+
+    The per-corner tables arrive resolved in the payload: they depend
+    only on the design, the corner and the constants, never the chunk.
+    """
     payload = task.payload
     design: PufDesign = payload["design"]
-    corners: Tuple[SupplySpec, ...] = payload["corners"]
+    tables_by_corner: Tuple[CornerTables, ...] = payload["tables"]
     process: ProcessVariation = payload["process"]
-    constants: TimingConstants = payload["constants"]
     # A None root draws fresh OS entropy once per chunk.
     device_seeds = child_seeds(
         root_entropy(payload["root"]), np.arange(payload["start"], payload["stop"])
     )
-    batch = process.sample_devices(required_lut_count(design, constants), device_seeds)
+    batch = process.sample_devices(payload["lut_count"], device_seeds)
     responses: List[np.ndarray] = []
     frequency_sum = 0.0
-    for corner_index, corner in enumerate(corners):
-        tables = corner_tables(design, corner, constants)
+    for corner_index, tables in enumerate(tables_by_corner):
         rng: Optional[np.random.Generator] = None
         if design.measure_periods:
             noise_root = payload["noise_root"]
@@ -339,6 +341,8 @@ def measure_population(
         corners=len(corners),
         topology=design.topology,
     ):
+        tables = tuple(corner_tables(design, corner, constants) for corner in corners)
+        lut_count = required_lut_count(design, constants)
         tasks = []
         for chunk_start in range(0, device_count, CHUNK_DEVICES):
             chunk_stop = min(chunk_start + CHUNK_DEVICES, device_count)
@@ -353,9 +357,9 @@ def measure_population(
                     seed=noise_root,
                     payload={
                         "design": design,
-                        "corners": corners,
+                        "tables": tables,
+                        "lut_count": lut_count,
                         "process": process,
-                        "constants": constants,
                         "root": root,
                         "noise_root": noise_root,
                         "start": chunk_start,

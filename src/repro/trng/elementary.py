@@ -100,24 +100,17 @@ class ElementaryTrng:
         bit_count: int,
         seed: SeedLike = None,
         modulation: Optional[DeterministicModulation] = None,
-        phase_dither: bool = True,
     ) -> np.ndarray:
         """Generate ``bit_count`` raw bits.
 
-        ``phase_dither`` randomizes the initial phase between the two
-        clocks, modelling the unknown power-up phase of real hardware; a
-        dither-free run is useful for deterministic tests.
+        The initial phase between the two clocks is drawn from ``seed``,
+        modelling the unknown power-up phase of real hardware.
         """
         if bit_count < 1:
             raise ValueError(f"bit count must be positive, got {bit_count}")
         rng = make_rng(seed)
         if not self._use_simulation:
-            return self._walk.generate(
-                bit_count,
-                seed=rng,
-                modulation=modulation,
-                initial_phase=None if phase_dither else 0.0,
-            )
+            return self._walk.generate(bit_count, seed=rng, modulation=modulation)
 
         # The oracle: D flip-flop sampling of the event-engine edge timeline.
         def simulated_periods(count: int) -> np.ndarray:
@@ -130,9 +123,7 @@ class ElementaryTrng:
         periods_needed = int(math.ceil((bit_count + 2) * reference_period / nominal_period) + 8)
         periods = simulated_periods(periods_needed)
         clock = JitteryClock(periods)
-        first_sample = (
-            float(rng.uniform(0.0, reference_period)) if phase_dither else 0.5 * nominal_period
-        )
+        first_sample = float(rng.uniform(0.0, reference_period))
         # Guard: the realized timeline may be slightly shorter than the
         # nominal estimate when periods came out long; extend if needed.
         while clock.total_time_ps < first_sample + reference_period * bit_count:

@@ -13,11 +13,7 @@ from repro.core.campaign import (
     _segment_lengths,
     run_campaign,
 )
-from repro.core.characterization import (
-    jitter_versus_length,
-    measure_family_dispersion,
-    sweep_voltage,
-)
+from repro.core.characterization import jitter_versus_length
 from repro.rings.iro import InverterRingOscillator
 
 
@@ -116,12 +112,6 @@ def _iro5(board):
 @pytest.mark.parametrize(
     "drive",
     [
-        lambda seed, board, bank: sweep_voltage(
-            board, _iro5, [1.0, 1.2], measure=True, seed=seed
-        ),
-        lambda seed, board, bank: measure_family_dispersion(
-            bank, _iro5, measure=True, seed=seed
-        ),
         lambda seed, board, bank: jitter_versus_length(
             board, [3, 5], "iro", seed=seed, backend="event"
         ),
@@ -136,8 +126,6 @@ def _iro5(board):
         ),
     ],
     ids=[
-        "sweep_voltage",
-        "family_dispersion",
         "jitter_versus_length-event",
         "jitter_versus_length-batch",
         "run_campaign-event",

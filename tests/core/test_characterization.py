@@ -9,6 +9,7 @@ from repro.core.characterization import (
     measure_period_jitter,
     sweep_voltage,
 )
+from repro.fpga.voltage import SupplySpec
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
 
@@ -34,13 +35,15 @@ class TestSweepVoltage:
         assert result.linearity() > 0.999
 
     def test_measured_sweep_close_to_analytic(self, board):
-        analytic = sweep_voltage(board, iro5, (1.0, 1.2, 1.4))
-        measured = sweep_voltage(
-            board, iro5, (1.0, 1.2, 1.4), measure=True, period_count=48, seed=1
-        )
-        assert np.allclose(
-            measured.frequencies_mhz, analytic.frequencies_mhz, rtol=0.02
-        )
+        voltages = (1.0, 1.2, 1.4)
+        analytic = sweep_voltage(board, iro5, voltages)
+        measured = [
+            iro5(board.with_supply(SupplySpec(voltage_v=voltage))).measure_frequency_mhz(
+                period_count=48, seed=1
+            )
+            for voltage in voltages
+        ]
+        assert np.allclose(measured, analytic.frequencies_mhz, rtol=0.02)
 
     def test_needs_two_points(self, board):
         with pytest.raises(ValueError):

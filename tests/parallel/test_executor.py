@@ -65,14 +65,6 @@ class TestRunGrid:
         assert results == [7, 8, 9, 10]
         assert fallbacks.value == before + 1
 
-    def test_chunk_size_override(self):
-        results = run_grid(_tasks(10), _square_worker, jobs=2, chunk_size=3)
-        assert results == [i * i for i in range(10)]
-
-    def test_bad_chunk_size_raises(self):
-        with pytest.raises(ValueError):
-            run_grid(_tasks(4), _square_worker, jobs=2, chunk_size=0)
-
     def test_progress_reaches_total(self):
         calls = []
         run_grid(_tasks(5), _square_worker, jobs=1, progress=lambda d, t: calls.append((d, t)))

@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.campaign import RingSpec, run_campaign
-from repro.core.characterization import (
-    jitter_versus_length,
-    measure_period_jitter,
-    sweep_voltage,
-)
+from repro.core.characterization import jitter_versus_length, measure_period_jitter
 from repro.core.charlie import CharlieDiagram, CharlieParameters
 from repro.experiments import fig09_histograms, fig10_method
 from repro.fpga.board import BoardBank
@@ -201,18 +197,6 @@ class TestEventOraclePinned:
 
     def test_event_jitter_versus_length_runs_on_event_engine(self, board):
         jitter_versus_length(board, [8], "str", period_count=256, backend="event")
-        events, batch_calls = _event_counts()
-        assert events > 0
-        assert batch_calls == 0
-
-    def test_measured_voltage_sweep_runs_on_event_engine(self, board):
-        sweep_voltage(
-            board,
-            lambda sweep_board: SelfTimedRing.on_board(sweep_board, 8),
-            [1.0, 1.2],
-            measure=True,
-            period_count=32,
-        )
         events, batch_calls = _event_counts()
         assert events > 0
         assert batch_calls == 0

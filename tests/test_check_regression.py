@@ -123,11 +123,6 @@ class TestMain:
             ), f"reference entry {name!r} matches no benchmarks/bench_*.py"
 
 
-def history_rows(*means_maps):
-    """File-shaped rows (what load_history_means parses)."""
-    return [{"means": means} for means in means_maps]
-
-
 def history_means(*means_maps):
     """Parsed per-run mean maps (what drift_warnings consumes)."""
     return list(means_maps)
@@ -147,15 +142,6 @@ class TestLoadHistoryMeans:
             {"bench_a": 1.0},
             {"bench_a": 1.1},
         ]
-
-    def test_reads_the_committed_snapshot_document(self, tmp_path):
-        path = tmp_path / "BENCH_history.json"
-        path.write_text(
-            json.dumps(
-                {"updated": "2026-01-01T00:00:00Z", "rows": history_rows({"bench_a": 2.0})}
-            )
-        )
-        assert check_regression.load_history_means(str(path)) == [{"bench_a": 2.0}]
 
     def test_blank_lines_and_missing_means_tolerated(self, tmp_path):
         path = tmp_path / "history.jsonl"
@@ -272,51 +258,18 @@ append_history = importlib.util.module_from_spec(_append_spec)
 _append_spec.loader.exec_module(append_history)
 
 
-class TestAppendHistorySnapshot:
-    def test_snapshot_keeps_the_trailing_rows(self, tmp_path):
-        history = [
-            {"sha": f"s{i}", "utc": f"2026-01-{i + 1:02d}T00:00:00Z", "means": {}}
-            for i in range(append_history.SNAPSHOT_ROWS + 5)
-        ]
-        path = tmp_path / "BENCH_history.json"
-        append_history.write_snapshot(history, str(path))
-        document = json.loads(path.read_text())
-        assert len(document["rows"]) == append_history.SNAPSHOT_ROWS
-        assert document["rows"][-1]["sha"] == history[-1]["sha"]
-        assert document["updated"] == history[-1]["utc"]
-
-    def test_snapshot_of_empty_history(self, tmp_path):
-        path = tmp_path / "BENCH_history.json"
-        append_history.write_snapshot([], str(path))
-        assert json.loads(path.read_text()) == {"updated": "", "rows": []}
-
-    def test_main_appends_and_writes_snapshot(self, tmp_path, capsys):
+class TestAppendHistory:
+    def test_main_appends_a_row(self, tmp_path, capsys):
         bench = tmp_path / "bench.json"
         write_bench_json(bench, {"bench_a": 0.25})
         history = tmp_path / "history.jsonl"
-        snapshot = tmp_path / "BENCH_history.json"
-        assert (
-            append_history.main(
-                [
-                    str(bench),
-                    str(history),
-                    "--sha",
-                    "abc123",
-                    "--snapshot",
-                    str(snapshot),
-                ]
-            )
-            == 0
-        )
+        assert append_history.main([str(bench), str(history), "--sha", "abc123"]) == 0
+        assert append_history.main([str(bench), str(history), "--sha", "def456"]) == 0
         rows = [json.loads(line) for line in history.read_text().splitlines()]
+        assert [row["sha"] for row in rows] == ["abc123", "def456"]
         assert rows[-1]["means"] == {"bench_a": 0.25}
-        document = json.loads(snapshot.read_text())
-        assert document["rows"][-1]["sha"] == "abc123"
-        assert "snapshot" in capsys.readouterr().out
-
-    def test_committed_snapshot_is_loadable_by_the_gate(self):
-        # The file at the repo root must stay parseable by the drift
-        # check (cold-cache CI path).
-        committed = _SCRIPT.parent.parent / "BENCH_history.json"
-        means = check_regression.load_history_means(str(committed))
-        assert isinstance(means, list)
+        assert check_regression.load_history_means(str(history)) == [
+            {"bench_a": 0.25},
+            {"bench_a": 0.25},
+        ]
+        assert "appended abc123" in capsys.readouterr().out

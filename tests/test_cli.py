@@ -1,10 +1,23 @@
 """Command-line interface."""
 
+import inspect
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import EXPERIMENT_IDS, get_experiment
+
+
+class _PassingResult:
+    """Stand-in experiment result: renders, passes every check."""
+
+    def __init__(self, experiment_id):
+        self.experiment_id = experiment_id
+        self.all_checks_pass = True
+
+    def render(self):
+        return f"[{self.experiment_id}]"
 
 
 class TestParser:
@@ -142,6 +155,13 @@ class TestFaultsCommand:
         assert "[EXT10]" in output
         assert "deepest recovery" in output
 
+    @pytest.mark.parametrize("flags", [["--jobs", "2"], ["--no-cache"]])
+    def test_parallel_flags_need_matrix(self, flags, capsys):
+        assert main(["faults", "--bits", "4096"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flags[0] in captured.err and "--matrix" in captured.err
+
     def test_matrix_jobs_no_cache_round_trip(self, capsys):
         assert main(["faults", "--matrix", "--jobs", "2", "--no-cache"]) == 0
         serial = capsys.readouterr().out
@@ -149,17 +169,59 @@ class TestFaultsCommand:
         assert capsys.readouterr().out == serial
 
 
+#: ``repro run`` flag -> the ``run`` parameter it sets.
+_RUN_FLAGS = {
+    "--jobs": ("jobs", ["--jobs", "2"]),
+    "--no-cache": ("cache", ["--no-cache"]),
+    "--backend": ("backend", ["--backend", "batch"]),
+}
+
+
 class TestRunParallelFlags:
     def test_jobs_no_cache_round_trip(self, capsys):
-        assert main(["run", "TAB2", "--json", "--jobs", "2", "--no-cache"]) == 0
+        assert main(["run", "EXT10", "--json", "--jobs", "2", "--no-cache"]) == 0
         parallel = capsys.readouterr().out
-        assert main(["run", "TAB2", "--json"]) == 0
+        assert main(["run", "EXT10", "--json"]) == 0
         assert capsys.readouterr().out == parallel
 
-    def test_flags_ignored_by_non_grid_experiments(self, capsys):
-        # FIG4 takes neither jobs nor cache; the flags must be inert.
-        assert main(["run", "FIG4", "--jobs", "4"]) == 0
-        assert "[FIG4]" in capsys.readouterr().out
+    def test_flags_refused_by_non_grid_experiments(self, capsys):
+        # FIG4 takes neither jobs nor cache: the flag must fail loudly.
+        assert main(["run", "FIG4", "--jobs", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "[FIG4]" not in captured.out
+        assert "FIG4" in captured.err and "--jobs" in captured.err
+
+    def test_refusal_runs_no_experiment(self, capsys, monkeypatch):
+        # One refused id refuses the whole command, before FIG11 runs.
+        ran = []
+        monkeypatch.setattr(
+            "repro.cli.run_experiment", lambda eid, **kwargs: ran.append(eid)
+        )
+        assert main(["run", "FIG11", "FIG9", "--backend", "event"]) == 2
+        assert ran == []
+        assert "FIG9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", sorted(_RUN_FLAGS))
+    @pytest.mark.parametrize("experiment_id", EXPERIMENT_IDS)
+    def test_flag_refused_exactly_where_run_lacks_it(
+        self, experiment_id, flag, capsys, monkeypatch
+    ):
+        parameter, argv = _RUN_FLAGS[flag]
+        accepted = parameter in inspect.signature(get_experiment(experiment_id)).parameters
+        calls = []
+        monkeypatch.setattr(
+            "repro.cli.run_experiment",
+            lambda eid, **kwargs: calls.append(kwargs) or _PassingResult(eid),
+        )
+        status = main(["run", experiment_id] + argv)
+        captured = capsys.readouterr()
+        if accepted:
+            assert status == 0
+            assert parameter in calls[0]
+        else:
+            assert status == 2
+            assert calls == []
+            assert experiment_id in captured.err and flag in captured.err
 
     def test_run_populates_default_cache(self, capsys, tmp_path, monkeypatch):
         from repro.parallel import ResultCache
@@ -194,6 +256,14 @@ class TestCampaignCommand:
         assert main(argv + ["--no-cache"]) == 0
         serial = capsys.readouterr().out
         assert parallel == serial
+
+    @pytest.mark.parametrize("flags", [["--jobs", "2"], ["--no-cache"]])
+    def test_batch_backend_refuses_parallel_flags(self, flags, capsys):
+        argv = ["campaign", "iro:3", "--periods", "128", "--backend", "batch"]
+        assert main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flags[0] in captured.err and "--backend batch" in captured.err
 
     def test_token_count_spec(self, capsys):
         assert main(["campaign", "str:16:6", "--periods", "128"]) == 0
@@ -687,6 +757,15 @@ class TestShardingCli:
         )
         assert rc == 2
         assert "event backend" in capsys.readouterr().err
+
+    def test_shard_refuses_no_cache(self, capsys, tmp_path):
+        shard = ["--shard", "0/2", "--shard-dir", str(tmp_path / "s")]
+        assert main(self.CAMPAIGN + ["--no-cache"] + shard) == 2
+        assert "--no-cache" in capsys.readouterr().err
+        assert main(["run", "EXT12", "--no-cache", "--backend", "event"] + shard) == 2
+        err = capsys.readouterr().err
+        assert "--no-cache" in err and "--backend" in err
+        assert not (tmp_path / "s").exists()
 
     def test_merge_missing_shard(self, capsys, tmp_path):
         assert main(self.CAMPAIGN + ["--shard", "0/2", "--shard-dir", str(tmp_path / "s0")]) == 0
