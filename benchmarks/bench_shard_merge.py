@@ -16,16 +16,21 @@ import tempfile
 from pathlib import Path
 
 from repro.core.campaign import (
+    CAMPAIGN_WORKLOAD,
     RingSpec,
-    assemble_campaign,
+    campaign_args,
     run_campaign,
-    run_campaign_shard,
 )
 from repro.fpga.board import BoardBank
 from repro.parallel import ShardSpec, merge_shards
 
 _SPECS = (RingSpec("iro", 3), RingSpec("str", 8))
 _KWARGS = dict(board_count=3, bank_seed=7, jitter_periods=1024, seed=5)
+_ARGS = dict(
+    campaign_args(list(_SPECS), jitter_periods=_KWARGS["jitter_periods"], seed=_KWARGS["seed"]),
+    board_count=_KWARGS["board_count"],
+    bank_seed=_KWARGS["bank_seed"],
+)
 
 
 def _shard_roundtrip() -> str:
@@ -34,10 +39,10 @@ def _shard_roundtrip() -> str:
         dirs = []
         for index in range(2):
             directory = tmp / f"s{index}"
-            run_campaign_shard(list(_SPECS), ShardSpec(index, 2), directory, **_KWARGS)
+            CAMPAIGN_WORKLOAD.shard(_ARGS, ShardSpec(index, 2), directory)
             dirs.append(directory)
         merged = merge_shards(dirs, tmp / "merged")
-        return assemble_campaign(merged).to_json()
+        return CAMPAIGN_WORKLOAD.replay(merged).to_json()
 
 
 def bench_shard_merge(benchmark):

@@ -71,12 +71,14 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.experiments import EXPERIMENT_IDS, get_experiment, run_experiment
 from repro.experiments.registry import experiment_title
+from repro.parallel import ShardError
 
 
 @contextmanager
@@ -198,29 +200,16 @@ def _refuse_flags(flags: List[str], reason: str) -> int:
     return 2
 
 
-#: Experiments whose grids can run as shards (id -> shard runner factory).
-def _shardable_experiments() -> Dict[str, Any]:
-    from repro.experiments.ext12_differential import run_ext12_shard
-
-    return {"EXT12": run_ext12_shard}
-
-
 def _command_run(args: argparse.Namespace) -> int:
-    from repro.parallel import GridStats, ShardError
-
-    try:
-        sharding = _parse_shard(args)
-    except ShardError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    sharding = _parse_shard(args)
     if sharding is not None:
-        shard, shard_dir = sharding
-        shardable = _shardable_experiments()
+        from repro.experiments.ext12_differential import ext12_args
+
         ids = [experiment_id.upper() for experiment_id in args.ids]
-        if len(ids) != 1 or ids[0] not in shardable:
+        if ids != ["EXT12"]:
             print(
-                f"--shard runs exactly one shardable experiment "
-                f"({', '.join(shardable)}), got {' '.join(ids)}",
+                f"--shard runs exactly one shardable experiment (EXT12), "
+                f"got {' '.join(ids)}",
                 file=sys.stderr,
             )
             return 2
@@ -230,21 +219,8 @@ def _command_run(args: argparse.Namespace) -> int:
                 refused, "not used with --shard (a shard always caches "
                 "into its --shard-dir and takes no backend)"
             )
-        stats = GridStats()
-        try:
-            run = shardable[ids[0]](
-                shard, shard_dir, jobs=args.jobs or 1, stats=stats
-            )
-        except ShardError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        print(
-            f"shard {shard.render()} of {ids[0]} complete: "
-            f"{run.manifest.shard_task_count} of "
-            f"{run.manifest.grid_task_count} grid points -> {run.out_dir}"
-        )
-        _print_grid_stats(stats, args.json)
-        return 0
+        jobs = args.jobs if args.jobs is not None else 1
+        return _run_shard("EXT12", ext12_args(), sharding, jobs, args.json)
 
     try:
         overrides = {
@@ -298,7 +274,7 @@ def _parse_shard(args: argparse.Namespace):
     Raises ``ShardError`` on a malformed address or a missing
     ``--shard-dir`` — both are user errors that must fail loudly.
     """
-    from repro.parallel import ShardError, ShardSpec
+    from repro.parallel import ShardSpec
 
     if getattr(args, "shard", None) is None:
         return None
@@ -317,11 +293,37 @@ def _print_grid_stats(stats, json_mode: bool) -> None:
     print(f"grid: {stats.render()}", file=stream)
 
 
+def _run_shard(
+    name: str,
+    workload_args: Dict[str, Any],
+    sharding,
+    jobs: Optional[int],
+    json_mode: bool,
+    progress=None,
+) -> int:
+    """Run one shard of a registered grid workload into its ``--shard-dir``."""
+    from repro.parallel import GridStats
+    from repro.workloads import WORKLOADS
+
+    shard, shard_dir = sharding
+    stats = GridStats()
+    run = WORKLOADS[name].shard(
+        workload_args, shard, shard_dir, jobs=jobs, progress=progress, stats=stats
+    )
+    print(
+        f"shard {shard.render()} of {name} complete: "
+        f"{run.manifest.shard_task_count} of "
+        f"{run.manifest.grid_task_count} grid points -> {run.out_dir}"
+    )
+    _print_grid_stats(stats, json_mode)
+    return 0
+
+
 def _command_campaign(args: argparse.Namespace) -> int:
-    from repro.core.campaign import RingSpec, run_campaign, run_campaign_shard
+    from repro.core.campaign import RingSpec, campaign_args, run_campaign
     from repro.fpga.board import BoardBank
     from repro.fpga.calibration import TABLE2_TARGETS
-    from repro.parallel import GridStats, ShardError
+    from repro.parallel import GridStats
 
     specs = args.specs or [
         RingSpec(target.kind, target.stage_count) for target in TABLE2_TARGETS
@@ -334,14 +336,8 @@ def _command_campaign(args: argparse.Namespace) -> int:
             if done == total:
                 print(file=sys.stderr)
 
-    stats = GridStats()
-    try:
-        sharding = _parse_shard(args)
-    except ShardError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    sharding = _parse_shard(args)
     if sharding is not None:
-        shard, shard_dir = sharding
         if args.backend != "event":
             print(
                 "sharded campaigns run the event backend only "
@@ -355,30 +351,14 @@ def _command_campaign(args: argparse.Namespace) -> int:
                 ["--no-cache"], "not used with --shard (a shard always "
                 "caches into its --shard-dir)"
             )
-        try:
-            run = run_campaign_shard(
-                specs,
-                shard,
-                shard_dir,
-                board_count=args.boards,
-                bank_seed=args.bank_seed,
-                jitter_periods=args.periods,
-                seed=args.seed,
-                jobs=args.jobs,
-                progress=progress,
-                stats=stats,
-            )
-        except ShardError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        print(
-            f"shard {shard.render()} complete: "
-            f"{run.manifest.shard_task_count} of "
-            f"{run.manifest.grid_task_count} grid points -> {run.out_dir}"
+        workload_args = dict(
+            campaign_args(specs, jitter_periods=args.periods, seed=args.seed),
+            board_count=args.boards,
+            bank_seed=args.bank_seed,
         )
-        _print_grid_stats(stats, args.json)
-        return 0
+        return _run_shard("campaign", workload_args, sharding, args.jobs, args.json, progress)
 
+    stats = None
     if args.backend == "batch":
         refused = [flag for flag, _ in _given_run_flags(args) if flag != "--backend"]
         if refused:
@@ -386,38 +366,33 @@ def _command_campaign(args: argparse.Namespace) -> int:
                 refused, "not used by '--backend batch' (the kernels run "
                 "in-process, uncached)"
             )
+        grid_options: Dict[str, Any] = {}
+    else:
+        stats = GridStats()
+        grid_options = dict(
+            jobs=args.jobs, cache=_cli_cache(args), progress=progress, stats=stats
+        )
     bank = BoardBank.manufacture(board_count=args.boards, seed=args.bank_seed)
     report = run_campaign(
         specs,
         bank=bank,
         jitter_periods=args.periods,
         seed=args.seed,
-        jobs=args.jobs,
-        cache=_cli_cache(args),
-        progress=progress,
         backend=args.backend,
-        stats=stats,
+        **grid_options,
     )
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.render())
-    if args.backend == "event":
+    print(report.to_json() if args.json else report.render())
+    if stats is not None:
         _print_grid_stats(stats, args.json)
     return 0
 
 
 def _command_merge(args: argparse.Namespace) -> int:
-    from repro.parallel import GridStats, ShardError, merge_shards
+    from repro.parallel import GridStats, merge_shards
+    from repro.workloads import workload_of
 
-    try:
-        merged = merge_shards(args.dirs, args.out)
-    except ShardError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-
-    workload = merged.workload
-    kind = workload.get("workload")
+    merged = merge_shards(args.dirs, args.out)
+    workload = workload_of(merged)
     print(
         f"merged {merged.shard_count} shards "
         f"({merged.entries_absorbed} cache entries, "
@@ -425,39 +400,12 @@ def _command_merge(args: argparse.Namespace) -> int:
         file=sys.stderr if args.json else sys.stdout,
     )
     stats = GridStats()
-    if kind == "campaign":
-        from repro.core.campaign import assemble_campaign
-
-        report = assemble_campaign(merged, jobs=args.jobs, stats=stats)
-        print(report.to_json() if args.json else report.render())
-        _print_grid_stats(stats, args.json)
-        return 0
-    if kind == "verify":
-        from repro.verify.runner import assemble_verification
-
-        report = assemble_verification(merged, jobs=args.jobs, stats=stats)
-        if args.json:
-            import json as _json
-
-            print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(report.render())
-        _print_grid_stats(stats, args.json)
-        return 0 if report.passed else 1
-    if kind == "experiment" and workload.get("experiment") == "EXT12":
-        from repro.experiments.ext12_differential import assemble_ext12
-
-        result = assemble_ext12(merged, jobs=args.jobs, stats=stats)
-        print(result.to_json() if args.json else result.render())
-        _print_grid_stats(stats, args.json)
-        return 0 if result.all_checks_pass else 1
-    print(
-        f"don't know how to assemble a {kind!r} workload "
-        f"(experiment={workload.get('experiment')!r}); the merged cache at "
-        f"{merged.out_dir} is still valid for manual reassembly",
-        file=sys.stderr,
-    )
-    return 2
+    report = workload.replay(merged, jobs=args.jobs, stats=stats)
+    print(report.to_json() if args.json else report.render())
+    _print_grid_stats(stats, args.json)
+    # Claim sweeps and experiments carry a verdict; a campaign report has none.
+    passed = getattr(report, "passed", getattr(report, "all_checks_pass", True))
+    return 0 if passed else 1
 
 
 def _command_cache(args: argparse.Namespace) -> int:
@@ -689,41 +637,14 @@ def _command_verify(args: argparse.Namespace) -> int:
             if done == total:
                 print(file=sys.stderr)
 
-    from repro.parallel import GridStats, ShardError
-
-    try:
-        sharding = _parse_shard(args)
-    except ShardError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    sharding = _parse_shard(args)
     if sharding is not None:
-        from repro.verify.runner import run_verification_shard
+        from repro.verify.runner import verification_args
 
-        shard, shard_dir = sharding
-        stats = GridStats()
-        try:
-            run = run_verification_shard(
-                shard,
-                shard_dir,
-                claim_ids,
-                tier=args.tier,
-                seeds=args.seeds,
-                root_seed=args.seed,
-                overrides=overrides,
-                jobs=args.jobs,
-                progress=progress,
-                stats=stats,
-            )
-        except ShardError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        print(
-            f"shard {shard.render()} complete: "
-            f"{run.manifest.shard_task_count} of "
-            f"{run.manifest.grid_task_count} claim checks -> {run.out_dir}"
+        workload_args = verification_args(
+            claim_ids, args.tier, args.seeds, args.seed, overrides
         )
-        _print_grid_stats(stats, args.json)
-        return 0
+        return _run_shard("verify", workload_args, sharding, args.jobs, args.json, progress)
 
     report = run_verification(
         claim_ids,
@@ -736,12 +657,7 @@ def _command_verify(args: argparse.Namespace) -> int:
         bundle_dir=args.bundle_dir,
         progress=progress,
     )
-    if args.json:
-        import json as _json
-
-        print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render())
+    print(report.to_json() if args.json else report.render())
     return 0 if report.passed else 1
 
 
@@ -1389,8 +1305,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    with _telemetry_session(args):
-        return args.handler(args)
+    try:
+        with _telemetry_session(args):
+            return args.handler(args)
+    except ShardError as error:
+        print(str(error), file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro ... | head``).  Point the
+        # stdout descriptor at devnull so the flush at interpreter exit
+        # cannot raise again, and exit without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass  # stdout is not a file descriptor: nothing is left to flush
+        finally:
+            os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

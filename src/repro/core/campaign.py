@@ -19,14 +19,15 @@ import numpy as np
 
 from repro.core.characterization import measure_family_dispersion, sweep_voltage
 from repro.fpga.board import Board, BoardBank
-from repro.parallel.cache import ResultCache, _package_version, fingerprint
+from repro.parallel.cache import ResultCache, fingerprint
 from repro.parallel.executor import GridStats, GridTask, ProgressCallback, run_grid
 from repro.parallel.seeds import spawn_seeds
-from repro.parallel.sharding import MergedRun, ShardRun, ShardSpec, run_shard
+from repro.parallel.sharding import GridWorkload
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
 from repro.stats.accumulation import accumulation_profile
 from repro.telemetry import get_logger, span
+from repro.text_table import aligned_table
 from repro.trng.phasewalk import predicted_shannon_entropy, reference_period_for_q
 
 _log = get_logger("repro.core.campaign")
@@ -131,13 +132,7 @@ class CampaignReport:
                     f"{result.trng_entropy_bound:.4f}",
                 )
             )
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = [
-            "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-            for row in rows
-        ]
-        lines.insert(1, "-" * (sum(widths) + 2 * (len(widths) - 1)))
-        return "\n".join(lines)
+        return aligned_table(rows)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         payload = {
@@ -188,7 +183,7 @@ def _campaign_segment_worker(task: GridTask) -> List[float]:
 def _campaign_segments_batch(tasks: Sequence[GridTask]) -> List[List[float]]:
     """All jitter segments in two vectorized kernel calls (one per family).
 
-    Runs the very tasks of :func:`_campaign_tasks` — same segment
+    Runs the very tasks of :func:`_campaign_grid` — same segment
     lengths, same seeds — so IRO segments (bit-exact kernel) reproduce
     the event-backend campaign digits exactly; STR segments are
     statistically equivalent.
@@ -222,23 +217,46 @@ def _campaign_segments_batch(tasks: Sequence[GridTask]) -> List[List[float]]:
     return segments
 
 
-def _campaign_tasks(
+def campaign_args(
     specs: Sequence[RingSpec],
-    rings: Sequence[Any],
-    lengths: Sequence[int],
-    seed: Optional[int],
-) -> List[GridTask]:
+    *,
+    voltages_v: Sequence[float] = (1.0, 1.2, 1.4),
+    jitter_periods: int = 2048,
+    q_target: float = 0.2,
+    seed: Optional[int] = 0,
+    segment_periods: int = DEFAULT_SEGMENT_PERIODS,
+) -> Dict[str, Any]:
+    """The JSON-able args of a campaign grid.
+
+    A sharded campaign manufactures its bank, so its args add
+    ``board_count`` and ``bank_seed`` (see :data:`CAMPAIGN_WORKLOAD`).
+    """
+    if not specs:
+        raise ValueError("need at least one ring spec")
+    return {
+        "specs": [dataclasses.asdict(spec) for spec in specs],
+        "voltages_v": [float(v) for v in voltages_v],
+        "jitter_periods": int(jitter_periods),
+        "q_target": float(q_target),
+        "seed": seed,
+        "segment_periods": int(segment_periods),
+    }
+
+
+def _campaign_grid(args: Dict[str, Any], bank: BoardBank):
     """The campaign's flat segment grid, seeds derived before any split.
 
-    The one place the segment/seed tree is derived: one child of
-    ``seed`` per spec, one grandchild per segment.  The single-host path
-    (:func:`run_campaign`, either backend) and the shard path
-    (:func:`run_campaign_shard`) all build the *whole* grid from the
-    same arguments, so a shard owns a subset of exactly the tasks — and
-    seeds — the single-host run would have evaluated.
+    The one place the segment/seed tree is derived: one child of the
+    root seed per spec, one grandchild per segment.  Every path (either
+    backend, a shard, a merge replay) builds the *whole* grid from the
+    same args, so a shard owns a subset of exactly the tasks — and
+    seeds — the single-host run evaluates.
     """
+    specs = [RingSpec(**entry) for entry in args["specs"]]
+    lengths = _segment_lengths(args["jitter_periods"], args["segment_periods"])
     tasks: List[GridTask] = []
-    for spec, ring, spec_seed in zip(specs, rings, spawn_seeds(seed, len(specs))):
+    for spec, spec_seed in zip(specs, spawn_seeds(args["seed"], len(specs))):
+        ring = spec.build(bank[0])
         ring_key = fingerprint(ring)
         segment_seeds = spawn_seeds(spec_seed, len(lengths))
         for segment_index, (length, segment_seed) in enumerate(zip(lengths, segment_seeds)):
@@ -260,7 +278,32 @@ def _campaign_tasks(
                     },
                 )
             )
-    return tasks
+    return tasks, _campaign_segment_worker
+
+
+def _campaign_report(
+    args: Dict[str, Any], bank: BoardBank, segments: Sequence[List[float]]
+) -> CampaignReport:
+    """Fold the segment populations and the bank measurements into the report."""
+    specs = [RingSpec(**entry) for entry in args["specs"]]
+    per_spec = len(segments) // len(specs)
+    results: List[RingCampaignResult] = []
+    for index, spec in enumerate(specs):
+        sweep = sweep_voltage(bank[0], spec.build, args["voltages_v"])
+        dispersion = measure_family_dispersion(bank, spec.build)
+        own = segments[index * per_spec : (index + 1) * per_spec]
+        periods = np.concatenate([np.asarray(segment, dtype=float) for segment in own])
+        results.append(
+            _assemble_result(
+                spec, spec.build(bank[0]), sweep, dispersion, periods, args["q_target"]
+            )
+        )
+    return CampaignReport(
+        results=results,
+        voltages_v=list(args["voltages_v"]),
+        board_count=len(bank),
+        q_target=args["q_target"],
+    )
 
 
 def _assemble_result(
@@ -318,16 +361,35 @@ def run_campaign(
     ``numpy.random.Generator`` raises ``TypeError``.
 
     ``backend="batch"`` runs the very same segment/seed tree through the
-    vectorized kernels instead of worker processes (``jobs``/``cache``
-    are ignored): IRO rows stay bit-identical to the event path, STR
-    rows are statistically equivalent.
+    vectorized kernels in-process and uncached, so it refuses ``jobs``,
+    ``cache``, ``progress`` and ``stats`` with ``ValueError``: IRO rows
+    stay bit-identical to the event path, STR rows are statistically
+    equivalent.
     """
-    if not specs:
-        raise ValueError("need at least one ring spec")
+    args = campaign_args(
+        specs,
+        voltages_v=voltages_v,
+        jitter_periods=jitter_periods,
+        q_target=q_target,
+        seed=seed,
+        segment_periods=segment_periods,
+    )
     if backend not in ("event", "batch"):
         raise ValueError(f"backend must be 'event' or 'batch', got {backend!r}")
+    if backend == "batch":
+        given = {
+            "jobs": jobs != 1,
+            "cache": cache is not None,
+            "progress": progress is not None,
+            "stats": stats is not None,
+        }
+        refused = [name for name, is_set in given.items() if is_set]
+        if refused:
+            raise ValueError(
+                f"backend='batch' runs in-process and uncached; it takes no "
+                f"{', '.join(refused)}"
+            )
     bank = bank if bank is not None else BoardBank.manufacture(board_count=5, seed=0)
-    nominal_board = bank[0]
     with span(
         "campaign", specs=len(specs), jitter_periods=jitter_periods
     ) as tele:
@@ -337,180 +399,34 @@ def run_campaign(
             jitter_periods=jitter_periods,
             backend=backend,
         )
-        rings = [spec.build(nominal_board) for spec in specs]
-        lengths = _segment_lengths(jitter_periods, segment_periods)
-        tasks = _campaign_tasks(specs, rings, lengths, seed)
+        tasks, worker = _campaign_grid(args, bank)
         tele.set("segments", len(tasks))
         if backend == "batch":
             segments = _campaign_segments_batch(tasks)
         else:
             segments = run_grid(
-                tasks,
-                _campaign_segment_worker,
-                jobs=jobs,
-                cache=cache,
-                progress=progress,
-                stats=stats,
+                tasks, worker, jobs=jobs, cache=cache, progress=progress, stats=stats
             )
-
-        results: List[RingCampaignResult] = []
-        for index, (spec, ring) in enumerate(zip(specs, rings)):
-            sweep = sweep_voltage(nominal_board, spec.build, voltages_v)
-            dispersion = measure_family_dispersion(bank, spec.build)
-            own = segments[index * len(lengths) : (index + 1) * len(lengths)]
-            periods = np.concatenate([np.asarray(segment, dtype=float) for segment in own])
-            results.append(
-                _assemble_result(spec, ring, sweep, dispersion, periods, q_target)
-            )
+        report = _campaign_report(args, bank, segments)
         _log.info(
-            "campaign.complete", rings=len(results), segments=len(tasks), backend=backend
+            "campaign.complete",
+            rings=len(report.results),
+            segments=len(tasks),
+            backend=backend,
         )
-        return CampaignReport(
-            results=results,
-            voltages_v=[float(v) for v in voltages_v],
-            board_count=len(bank),
-            q_target=q_target,
-        )
+        return report
 
 
-def campaign_workload(
-    specs: Sequence[RingSpec],
-    *,
-    board_count: int,
-    bank_seed: int,
-    voltages_v: Sequence[float],
-    jitter_periods: int,
-    q_target: float,
-    seed: int,
-    segment_periods: int,
-) -> Dict[str, Any]:
-    """JSON-able description of a campaign, complete enough to rebuild it.
-
-    Stored in every shard manifest so ``repro merge`` can reconstruct the
-    grid and reassemble the final report without re-stating the original
-    command line.
-    """
-    return {
-        "workload": "campaign",
-        "specs": [
-            {
-                "kind": spec.kind,
-                "stage_count": spec.stage_count,
-                "token_count": spec.token_count,
-            }
-            for spec in specs
-        ],
-        "board_count": int(board_count),
-        "bank_seed": int(bank_seed),
-        "voltages_v": [float(v) for v in voltages_v],
-        "jitter_periods": int(jitter_periods),
-        "q_target": float(q_target),
-        "seed": int(seed),
-        "segment_periods": int(segment_periods),
-    }
+def _manufactured_bank(args: Dict[str, Any]) -> BoardBank:
+    return BoardBank.manufacture(board_count=args["board_count"], seed=args["bank_seed"])
 
 
-def specs_from_workload(workload: Dict[str, Any]) -> List[RingSpec]:
-    """Rebuild the ring-spec list from a campaign workload document."""
-    return [
-        RingSpec(
-            kind=str(entry["kind"]),
-            stage_count=int(entry["stage_count"]),
-            token_count=None if entry.get("token_count") is None else int(entry["token_count"]),
-        )
-        for entry in workload["specs"]
-    ]
-
-
-def run_campaign_shard(
-    specs: Sequence[RingSpec],
-    shard: ShardSpec,
-    out_dir: Any,
-    *,
-    board_count: int = 5,
-    bank_seed: int = 0,
-    voltages_v: Sequence[float] = (1.0, 1.2, 1.4),
-    jitter_periods: int = 2048,
-    q_target: float = 0.2,
-    seed: int = 0,
-    segment_periods: int = DEFAULT_SEGMENT_PERIODS,
-    jobs: Optional[int] = 1,
-    progress: Optional[ProgressCallback] = None,
-    stats: Optional[GridStats] = None,
-) -> ShardRun:
-    """Run one shard of a campaign's segment grid into ``out_dir``.
-
-    Builds exactly the grid :func:`run_campaign` would build from the
-    same arguments — seeds fanned out over the *whole* grid before the
-    round-robin split — then evaluates only this shard's subset.  The
-    output directory is self-contained (result cache + metrics snapshot
-    + crash-safe manifest); :func:`repro.parallel.sharding.merge_shards`
-    plus :func:`assemble_campaign` turn a complete shard set into a
-    report bit-identical to the single-host run.
-    """
-    if not specs:
-        raise ValueError("need at least one ring spec")
-    bank = BoardBank.manufacture(board_count=board_count, seed=bank_seed)
-    rings = [spec.build(bank[0]) for spec in specs]
-    lengths = _segment_lengths(jitter_periods, segment_periods)
-    tasks = _campaign_tasks(specs, rings, lengths, seed)
-    workload = campaign_workload(
-        specs,
-        board_count=board_count,
-        bank_seed=bank_seed,
-        voltages_v=voltages_v,
-        jitter_periods=jitter_periods,
-        q_target=q_target,
-        seed=seed,
-        segment_periods=segment_periods,
-    )
-    return run_shard(
-        tasks,
-        _campaign_segment_worker,
-        shard,
-        out_dir,
-        workload=workload,
-        version=_package_version(),
-        jobs=jobs,
-        progress=progress,
-        stats=stats,
-    )
-
-
-def assemble_campaign(
-    merged: MergedRun,
-    *,
-    jobs: Optional[int] = 1,
-    progress: Optional[ProgressCallback] = None,
-    stats: Optional[GridStats] = None,
-) -> CampaignReport:
-    """Reassemble the final report from a merged campaign shard set.
-
-    Replays the full grid against the merged cache — every segment is a
-    hit (merge validation guarantees completeness), and the remaining
-    assembly steps (voltage sweep, dispersion, provisioning) are
-    deterministic — so the report, and its ``to_json()`` bytes, are
-    identical to what the single-host run produces.
-    """
-    workload = merged.workload
-    if workload.get("workload") != "campaign":
-        raise ValueError(
-            f"merged run holds a {workload.get('workload')!r} workload, not a campaign"
-        )
-    specs = specs_from_workload(workload)
-    bank = BoardBank.manufacture(
-        board_count=int(workload["board_count"]), seed=int(workload["bank_seed"])
-    )
-    return run_campaign(
-        specs,
-        bank,
-        voltages_v=workload["voltages_v"],
-        jitter_periods=int(workload["jitter_periods"]),
-        q_target=float(workload["q_target"]),
-        seed=int(workload["seed"]),
-        jobs=jobs,
-        cache=merged.cache,
-        segment_periods=int(workload["segment_periods"]),
-        progress=progress,
-        stats=stats,
-    )
+#: The sharded campaign: :func:`campaign_args` plus the ``board_count``
+#: and ``bank_seed`` of the bank every shard (and the merge) manufactures.
+CAMPAIGN_WORKLOAD = GridWorkload(
+    "campaign",
+    grid=lambda args: _campaign_grid(args, _manufactured_bank(args)),
+    assemble=lambda args, segments: _campaign_report(
+        args, _manufactured_bank(args), segments
+    ),
+)

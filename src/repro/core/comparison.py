@@ -26,6 +26,7 @@ from repro.fpga.board import Board, BoardBank
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
 from repro.simulation.noise import SeedLike
+from repro.text_table import aligned_table
 from repro.trng.elementary import ElementaryTrng
 
 
@@ -94,15 +95,7 @@ class ComparisonReport:
                 f"{self.str_.trng_entropy_bound:.4f}",
             ),
         ]
-        widths = [max(len(row[column]) for row in rows) for column in range(3)]
-        lines = []
-        for index, row in enumerate(rows):
-            lines.append(
-                "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-            )
-            if index == 0:
-                lines.append("-" * (sum(widths) + 4))
-        return "\n".join(lines)
+        return aligned_table(rows)
 
 
 def _characterize(

@@ -6,6 +6,8 @@ import dataclasses
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.text_table import aligned_table
+
 
 @dataclasses.dataclass
 class ExperimentResult:
@@ -57,14 +59,7 @@ class ExperimentResult:
             ]
             for row in self.rows
         ]
-        table = [header] + body
-        widths = [max(len(line[i]) for line in table) for i in range(len(header))]
-        lines = [
-            "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
-            for line in table
-        ]
-        lines.insert(1, "-" * (sum(widths) + 2 * (len(widths) - 1)))
-        return "\n".join(lines)
+        return aligned_table([header] + body)
 
     def render(self) -> str:
         """Full report: title, table, checks, notes."""

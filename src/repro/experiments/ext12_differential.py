@@ -34,9 +34,14 @@ from repro.measurement.differential import (
     measure_pair,
     worst_case_ripple,
 )
-from repro.parallel import GridStats, GridTask, ResultCache, run_grid, spawn_seeds
-from repro.parallel.cache import _package_version
-from repro.parallel.sharding import MergedRun, ShardRun, ShardSpec, run_shard
+from repro.parallel import (
+    GridStats,
+    GridTask,
+    GridWorkload,
+    ResultCache,
+    run_grid,
+    spawn_seeds,
+)
 
 #: Cache kind for EXT12 grid points.
 TASK_KIND = "ext12_differential_point"
@@ -76,40 +81,7 @@ def _pair_task_worker(task: GridTask) -> Dict[str, Any]:
     }
 
 
-def _ext12_tasks(
-    amplitudes: Sequence[float],
-    repeats: int,
-    window_count: int,
-    periods_per_window: int,
-    stage_count: int,
-    bank_seed: int,
-    seed: int,
-) -> List[GridTask]:
-    """The full amplitude x repeat grid; shared by direct and shard paths."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be positive, got {repeats}")
-    seeds = spawn_seeds(seed, len(amplitudes) * repeats)
-    tasks: List[GridTask] = []
-    for a_index, amplitude in enumerate(amplitudes):
-        for repeat in range(repeats):
-            tasks.append(
-                GridTask(
-                    kind=TASK_KIND,
-                    spec={
-                        "amplitude": float(amplitude),
-                        "repeat": repeat,
-                        "window_count": int(window_count),
-                        "periods_per_window": int(periods_per_window),
-                        "stage_count": int(stage_count),
-                        "bank_seed": int(bank_seed),
-                    },
-                    seed=seeds[a_index * repeats + repeat],
-                )
-            )
-    return tasks
-
-
-def run(
+def ext12_args(
     amplitudes: Sequence[float] = DEFAULT_AMPLITUDES,
     repeats: int = 4,
     window_count: int = 256,
@@ -117,23 +89,50 @@ def run(
     stage_count: int = 9,
     bank_seed: int = 3,
     seed: int = 41,
-    jobs: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    progress: Optional[Any] = None,
-    stats: Optional[GridStats] = None,
-) -> ExperimentResult:
-    """Sweep worst-case ripple amplitude; compare the two estimators."""
-    amplitudes = tuple(float(a) for a in amplitudes)
-    tasks = _ext12_tasks(
-        amplitudes, repeats, window_count, periods_per_window,
-        stage_count, bank_seed, seed,
-    )
-    raw = run_grid(
-        tasks, _pair_task_worker, jobs=jobs, cache=cache,
-        progress=progress, stats=stats,
-    )
+) -> Dict[str, Any]:
+    """The JSON-able args of an EXT12 amplitude x repeat grid."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be positive, got {repeats}")
+    return {
+        "amplitudes": [float(a) for a in amplitudes],
+        "repeats": int(repeats),
+        "window_count": int(window_count),
+        "periods_per_window": int(periods_per_window),
+        "stage_count": int(stage_count),
+        "bank_seed": int(bank_seed),
+        "seed": seed,
+    }
 
-    pair = _build_pair(tasks[0].spec)
+
+def _ext12_grid(args: Dict[str, Any]):
+    """The full amplitude x repeat grid, seeds derived before any split."""
+    repeats = args["repeats"]
+    seeds = spawn_seeds(args["seed"], len(args["amplitudes"]) * repeats)
+    tasks: List[GridTask] = []
+    for a_index, amplitude in enumerate(args["amplitudes"]):
+        for repeat in range(repeats):
+            tasks.append(
+                GridTask(
+                    kind=TASK_KIND,
+                    spec={
+                        "amplitude": amplitude,
+                        "repeat": repeat,
+                        "window_count": args["window_count"],
+                        "periods_per_window": args["periods_per_window"],
+                        "stage_count": args["stage_count"],
+                        "bank_seed": args["bank_seed"],
+                    },
+                    seed=seeds[a_index * repeats + repeat],
+                )
+            )
+    return tasks, _pair_task_worker
+
+
+def _ext12_result(args: Dict[str, Any], raw: Sequence[Dict[str, Any]]) -> ExperimentResult:
+    """Fold the grid readings into the EXT12 table and checks."""
+    amplitudes = tuple(args["amplitudes"])
+    repeats = args["repeats"]
+    pair = _build_pair(args)
     relative_detuning = abs(
         pair.ring_a.predicted_period_ps() - pair.ring_b.predicted_period_ps()
     ) / pair.ring_a.predicted_period_ps()
@@ -204,10 +203,10 @@ def run(
         },
         checks=checks,
         notes=(
-            f"Co-located IRO {stage_count}C pair on one board (bank seed "
-            f"{bank_seed}), nominal detuning {relative_detuning:.1%}; "
+            f"Co-located IRO {args['stage_count']}C pair on one board (bank seed "
+            f"{args['bank_seed']}), nominal detuning {relative_detuning:.1%}; "
             f"{len(amplitudes)} ripple amplitudes x {repeats} repeats, "
-            f"{window_count} windows of {periods_per_window} periods.  The "
+            f"{args['window_count']} windows of {args['periods_per_window']} periods.  The "
             f"ripple period is two re-arm intervals — the counter method's "
             f"worst case — yet the simultaneously-triggered difference "
             f"cancels it."
@@ -215,33 +214,7 @@ def run(
     )
 
 
-def ext12_workload(
-    amplitudes: Sequence[float],
-    repeats: int,
-    window_count: int,
-    periods_per_window: int,
-    stage_count: int,
-    bank_seed: int,
-    seed: int,
-) -> Dict[str, Any]:
-    """Shard-manifest workload descriptor for an EXT12 grid."""
-    return {
-        "workload": "experiment",
-        "experiment": "EXT12",
-        "amplitudes": [float(a) for a in amplitudes],
-        "repeats": int(repeats),
-        "window_count": int(window_count),
-        "periods_per_window": int(periods_per_window),
-        "stage_count": int(stage_count),
-        "bank_seed": int(bank_seed),
-        "seed": int(seed),
-    }
-
-
-def run_ext12_shard(
-    shard: ShardSpec,
-    out_dir: Any,
-    *,
+def run(
     amplitudes: Sequence[float] = DEFAULT_AMPLITUDES,
     repeats: int = 4,
     window_count: int = 256,
@@ -250,56 +223,20 @@ def run_ext12_shard(
     bank_seed: int = 3,
     seed: int = 41,
     jobs: Optional[int] = 1,
-    progress: Optional[Any] = None,
-    stats: Optional[GridStats] = None,
-) -> ShardRun:
-    """Run one shard of the EXT12 amplitude x repeat grid into ``out_dir``."""
-    amplitudes = tuple(float(a) for a in amplitudes)
-    tasks = _ext12_tasks(
-        amplitudes, repeats, window_count, periods_per_window,
-        stage_count, bank_seed, seed,
-    )
-    workload = ext12_workload(
-        amplitudes, repeats, window_count, periods_per_window,
-        stage_count, bank_seed, seed,
-    )
-    return run_shard(
-        tasks,
-        _pair_task_worker,
-        shard,
-        out_dir,
-        workload=workload,
-        version=_package_version(),
-        jobs=jobs,
-        progress=progress,
-        stats=stats,
-    )
-
-
-def assemble_ext12(
-    merged: MergedRun,
-    *,
-    jobs: Optional[int] = 1,
+    cache: Optional[ResultCache] = None,
     progress: Optional[Any] = None,
     stats: Optional[GridStats] = None,
 ) -> ExperimentResult:
-    """Reassemble the EXT12 result from a merged shard set (all cache hits)."""
-    workload = merged.workload
-    if workload.get("experiment") != "EXT12":
-        raise ValueError(
-            f"merged run holds a {workload.get('experiment') or workload.get('workload')!r} "
-            f"workload, not an EXT12 grid"
-        )
-    return run(
-        amplitudes=workload["amplitudes"],
-        repeats=int(workload["repeats"]),
-        window_count=int(workload["window_count"]),
-        periods_per_window=int(workload["periods_per_window"]),
-        stage_count=int(workload["stage_count"]),
-        bank_seed=int(workload["bank_seed"]),
-        seed=int(workload["seed"]),
-        jobs=jobs,
-        cache=merged.cache,
-        progress=progress,
-        stats=stats,
+    """Sweep worst-case ripple amplitude; compare the two estimators."""
+    args = ext12_args(
+        amplitudes, repeats, window_count, periods_per_window, stage_count, bank_seed, seed
     )
+    tasks, worker = _ext12_grid(args)
+    raw = run_grid(
+        tasks, worker, jobs=jobs, cache=cache, progress=progress, stats=stats
+    )
+    return _ext12_result(args, raw)
+
+
+#: The amplitude x repeat sweep as a shardable grid workload.
+EXT12_WORKLOAD = GridWorkload("EXT12", _ext12_grid, _ext12_result)

@@ -46,6 +46,7 @@ from repro.parallel.cache import (
 from repro.parallel.executor import GridStats, GridTask, resolve_jobs, run_grid
 from repro.parallel.seeds import spawn_seed_subset, spawn_seeds
 from repro.parallel.sharding import (
+    GridWorkload,
     MergedRun,
     ShardError,
     ShardManifest,
@@ -54,7 +55,6 @@ from repro.parallel.sharding import (
     grid_signature,
     merge_shards,
     run_shard,
-    shard_indices,
 )
 
 __all__ = [
@@ -62,6 +62,7 @@ __all__ = [
     "CacheStats",
     "GridStats",
     "GridTask",
+    "GridWorkload",
     "MergedRun",
     "ResultCache",
     "ShardError",
@@ -78,7 +79,6 @@ __all__ = [
     "resolve_jobs",
     "run_grid",
     "run_shard",
-    "shard_indices",
     "spawn_seed_subset",
     "spawn_seeds",
 ]

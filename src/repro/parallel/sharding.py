@@ -18,9 +18,9 @@ The identity rests on three properties, each owned by a different layer:
   shard caches is conflict-free by construction, so the merge is a pure
   set union with no ordering concerns;
 * **deterministic reassembly** — after the merge, replaying the full
-  grid against the merged cache is all hits, and the driver's assembly
-  step (campaign report, claim verdicts, ...) is a deterministic
-  function of the grid results.
+  grid against the merged cache is all hits, and the workload's
+  ``assemble`` step (campaign report, claim verdicts, ...) is a
+  deterministic function of the grid results (:class:`GridWorkload`).
 
 Shard addressing is round-robin: shard ``i`` of ``n`` owns grid indices
 ``i, i+n, i+2n, ...``.  Round-robin (rather than contiguous blocks)
@@ -42,9 +42,15 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.parallel.cache import ResultCache, atomic_write_json, canonical, read_json
+from repro.parallel.cache import (
+    ResultCache,
+    _package_version,
+    atomic_write_json,
+    canonical,
+    read_json,
+)
 from repro.parallel.executor import GridStats, GridTask, ProgressCallback, run_grid
 from repro.telemetry import MetricsRegistry, MetricsSnapshot, use_registry
 
@@ -114,11 +120,6 @@ class ShardSpec:
         if task_count < 0:
             raise ValueError(f"task_count must be non-negative, got {task_count}")
         return list(range(self.index, task_count, self.count))
-
-
-def shard_indices(task_count: int, shard: ShardSpec) -> List[int]:
-    """Module-level alias for :meth:`ShardSpec.indices`."""
-    return shard.indices(task_count)
 
 
 def grid_signature(tasks: Sequence[GridTask], version: str = "") -> str:
@@ -393,3 +394,77 @@ def merge_shards(
         entries_absorbed=absorbed,
         out_dir=out_dir,
     )
+
+
+#: ``grid(args) -> (tasks, worker)``: a workload's whole grid from its JSON-able args.
+GridBuilder = Callable[[Dict[str, Any]], Tuple[List[GridTask], Callable[[GridTask], Any]]]
+
+
+@dataclasses.dataclass(frozen=True)
+class GridWorkload:
+    """A grid that runs on one host, shards and merges through one protocol.
+
+    A workload declares ``grid(args)`` and ``assemble(args, results)``
+    over one JSON-able ``args`` dict.  The single-host run is
+    ``assemble(args, run_grid(*grid(args), ...))``; a shard records
+    ``{"workload": name, "args": args}`` in its manifest, so a merged
+    shard set rebuilds the same grid and replays it against the merged
+    cache.
+    """
+
+    name: str
+    grid: GridBuilder
+    assemble: Callable[[Dict[str, Any], List[Any]], Any]
+
+    def shard(
+        self,
+        args: Dict[str, Any],
+        shard: ShardSpec,
+        out_dir: Union[str, Path],
+        *,
+        jobs: Optional[int] = 1,
+        progress: Optional[ProgressCallback] = None,
+        stats: Optional[GridStats] = None,
+    ) -> ShardRun:
+        """Run this shard of the grid ``args`` describe into ``out_dir``."""
+        tasks, worker = self.grid(args)
+        return run_shard(
+            tasks,
+            worker,
+            shard,
+            out_dir,
+            workload={"workload": self.name, "args": args},
+            version=_package_version(),
+            jobs=jobs,
+            progress=progress,
+            stats=stats,
+        )
+
+    def replay(
+        self,
+        merged: MergedRun,
+        *,
+        jobs: Optional[int] = 1,
+        progress: Optional[ProgressCallback] = None,
+        stats: Optional[GridStats] = None,
+    ) -> Any:
+        """Reassemble a merged shard set: the grid replays as all cache hits."""
+        kind = merged.workload.get("workload")
+        if kind != self.name:
+            article = "an" if self.name[:1].lower() in "aeiou" else "a"
+            raise ValueError(
+                f"{merged.out_dir} holds a {kind!r} workload, "
+                f"not {article} {self.name} grid"
+            )
+        if "args" not in merged.workload:
+            raise ShardError(
+                f"cannot reassemble {merged.out_dir}: its shard manifests describe "
+                f"the {self.name} workload in an older format (no 'args'); "
+                f"re-run the shards"
+            )
+        args = merged.workload["args"]
+        tasks, worker = self.grid(args)
+        results = run_grid(
+            tasks, worker, jobs=jobs, cache=merged.cache, progress=progress, stats=stats
+        )
+        return self.assemble(args, results)

@@ -58,6 +58,7 @@ from repro.fpga.board import Board
 from repro.fpga.voltage import SupplySpec
 from repro.simulation.noise import SeedLike, make_rng
 from repro.telemetry import default_registry, emit_event, span
+from repro.text_table import aligned_table
 from repro.trng.health import HealthMonitor
 from repro.trng.phasewalk import PhaseWalkTrng, reference_period_for_q
 
@@ -173,13 +174,7 @@ class EventLog:
                     event.detail,
                 )
             )
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = [
-            "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-            for row in rows
-        ]
-        lines.insert(1, "-" * (sum(widths) + 2 * (len(widths) - 1)))
-        return "\n".join(lines)
+        return aligned_table(rows)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,14 +20,13 @@ re-running ``repro verify`` after an unrelated change is nearly free.
 from __future__ import annotations
 
 import dataclasses
+import json
 import zlib
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.parallel import GridStats, GridTask, ResultCache, run_grid
-from repro.parallel.cache import _package_version
-from repro.parallel.sharding import MergedRun, ShardRun, ShardSpec, run_shard
+from repro.parallel import GridStats, GridTask, GridWorkload, ResultCache, run_grid
 from repro.telemetry import default_registry, span
 from repro.verify.claims import ClaimOutcome, all_claim_ids, get_claim
 from repro.verify.criteria import wilson_interval
@@ -141,6 +140,9 @@ class VerificationReport:
             "replay_bundles": list(self.bundle_paths),
         }
 
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
     def render(self) -> str:
         """Human-readable flakiness table."""
         lines = [
@@ -181,28 +183,72 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _verification_tasks(
-    selected: Sequence[Any],
+def verification_args(
+    claim_ids: Optional[Sequence[str]],
     tier: str,
     seeds: int,
     root_seed: int,
     overrides: Optional[Mapping[str, Any]],
-) -> List[GridTask]:
-    """The full (claim, seed) grid; shared by sweep and shard paths."""
+) -> Dict[str, Any]:
+    """The JSON-able args of a (claim, seed) grid; ``None`` selects every claim."""
+    return {
+        "claims": [get_claim(cid).claim_id for cid in (claim_ids or all_claim_ids())],
+        "tier": tier,
+        "seeds": int(seeds),
+        "root_seed": int(root_seed),
+        "overrides": dict(overrides or {}),
+    }
+
+
+def _verification_grid(args: Dict[str, Any]):
+    """The full (claim, seed) grid; every seed derived before any split."""
     tasks: List[GridTask] = []
-    for claim in selected:
-        params = claim.params_for(tier)
-        if overrides:
-            params.update(overrides)
-        for seed in derive_claim_seeds(root_seed, claim.claim_id, seeds):
+    for claim_id in args["claims"]:
+        params = get_claim(claim_id).params_for(args["tier"])
+        params.update(args["overrides"])
+        for seed in derive_claim_seeds(args["root_seed"], claim_id, args["seeds"]):
             tasks.append(
                 GridTask(
                     kind=TASK_KIND,
-                    spec={"claim": claim.claim_id, "params": params},
+                    spec={"claim": claim_id, "params": params},
                     seed=seed,
                 )
             )
-    return tasks
+    return tasks, _claim_task_worker
+
+
+def _verification_report(args: Dict[str, Any], raw: Sequence[Any]) -> VerificationReport:
+    """Fold the grid's outcomes into per-claim sweeps, in claim order."""
+    outcomes = [ClaimOutcome.from_dict(payload) for payload in raw]
+    seeds = args["seeds"]
+    sweeps: List[ClaimSweepResult] = []
+    for index, claim_id in enumerate(args["claims"]):
+        claim = get_claim(claim_id)
+        sweeps.append(
+            ClaimSweepResult(
+                claim_id=claim.claim_id,
+                title=claim.title,
+                criterion=claim.criterion,
+                min_pass_rate=claim.min_pass_rate,
+                outcomes=outcomes[index * seeds : (index + 1) * seeds],
+            )
+        )
+    report = VerificationReport(
+        tier=args["tier"],
+        root_seed=args["root_seed"],
+        seeds_per_claim=seeds,
+        sweeps=sweeps,
+        bundle_paths=[],
+    )
+    registry = default_registry()
+    registry.counter("repro.verify.sweeps").inc()
+    if not report.passed:
+        registry.counter("repro.verify.sweep_failures").inc()
+    return report
+
+
+#: The (claim, seed) sweep as a shardable grid workload.
+VERIFY_WORKLOAD = GridWorkload("verify", _verification_grid, _verification_report)
 
 
 def run_verification(
@@ -225,130 +271,25 @@ def run_verification(
     regression).  Because the overridden params land in the task spec,
     injected runs never collide with clean runs in the cache.
     """
-    selected = [get_claim(cid) for cid in (claim_ids or all_claim_ids())]
-    tasks = _verification_tasks(selected, tier, seeds, root_seed, overrides)
+    args = verification_args(claim_ids, tier, seeds, root_seed, overrides)
+    tasks, worker = _verification_grid(args)
     with span(
-        "verify_sweep", tier=tier, claims=len(selected), seeds=seeds
+        "verify_sweep", tier=tier, claims=len(args["claims"]), seeds=seeds
     ) as tele:
         raw = run_grid(
-            tasks,
-            _claim_task_worker,
-            jobs=jobs,
-            cache=cache,
-            progress=progress,
-            stats=stats,
+            tasks, worker, jobs=jobs, cache=cache, progress=progress, stats=stats
         )
-        outcomes = [ClaimOutcome.from_dict(payload) for payload in raw]
-        sweeps: List[ClaimSweepResult] = []
-        cursor = 0
-        for claim in selected:
-            chunk = outcomes[cursor : cursor + seeds]
-            cursor += seeds
-            sweeps.append(
-                ClaimSweepResult(
-                    claim_id=claim.claim_id,
-                    title=claim.title,
-                    criterion=claim.criterion,
-                    min_pass_rate=claim.min_pass_rate,
-                    outcomes=chunk,
-                )
-            )
-        bundle_paths: List[str] = []
+        report = _verification_report(args, raw)
         if bundle_dir is not None:
             from repro.verify.replay import write_replay_bundle
 
-            for sweep in sweeps:
-                for failure in sweep.failures:
-                    bundle_paths.append(
-                        str(write_replay_bundle(failure, tier=tier, directory=bundle_dir))
-                    )
-        report = VerificationReport(
-            tier=tier,
-            root_seed=root_seed,
-            seeds_per_claim=seeds,
-            sweeps=sweeps,
-            bundle_paths=bundle_paths,
-        )
+            report = dataclasses.replace(
+                report,
+                bundle_paths=[
+                    str(write_replay_bundle(failure, tier=tier, directory=bundle_dir))
+                    for sweep in report.sweeps
+                    for failure in sweep.failures
+                ],
+            )
         tele.set("passed", report.passed)
-        registry = default_registry()
-        registry.counter("repro.verify.sweeps").inc()
-        if not report.passed:
-            registry.counter("repro.verify.sweep_failures").inc()
         return report
-
-
-def run_verification_shard(
-    shard: ShardSpec,
-    out_dir: Any,
-    claim_ids: Optional[Sequence[str]] = None,
-    *,
-    tier: str = "quick",
-    seeds: int = 5,
-    root_seed: int = 0,
-    overrides: Optional[Mapping[str, Any]] = None,
-    jobs: Optional[int] = 1,
-    progress: Optional[Any] = None,
-    stats: Optional[GridStats] = None,
-) -> ShardRun:
-    """Run one shard of the (claim, seed) verification grid into ``out_dir``.
-
-    The grid — and every derived seed — is built exactly as
-    :func:`run_verification` builds it, then the round-robin subset is
-    executed.  Merging a complete shard set and calling
-    :func:`assemble_verification` reproduces the single-host report.
-    """
-    resolved = list(claim_ids or all_claim_ids())
-    selected = [get_claim(cid) for cid in resolved]
-    tasks = _verification_tasks(selected, tier, seeds, root_seed, overrides)
-    workload = {
-        "workload": "verify",
-        "claims": [claim.claim_id for claim in selected],
-        "tier": tier,
-        "seeds": int(seeds),
-        "root_seed": int(root_seed),
-        "overrides": dict(overrides or {}),
-    }
-    return run_shard(
-        tasks,
-        _claim_task_worker,
-        shard,
-        out_dir,
-        workload=workload,
-        version=_package_version(),
-        jobs=jobs,
-        progress=progress,
-        stats=stats,
-    )
-
-
-def assemble_verification(
-    merged: MergedRun,
-    *,
-    bundle_dir: Optional[str] = None,
-    jobs: Optional[int] = 1,
-    progress: Optional[Any] = None,
-    stats: Optional[GridStats] = None,
-) -> VerificationReport:
-    """Reassemble the verification report from a merged shard set.
-
-    Replays the grid against the merged cache (all hits) and folds the
-    outcomes into per-claim sweeps exactly as the single-host path does.
-    """
-    workload = merged.workload
-    if workload.get("workload") != "verify":
-        raise ValueError(
-            f"merged run holds a {workload.get('workload')!r} workload, "
-            f"not a verification sweep"
-        )
-    return run_verification(
-        list(workload["claims"]),
-        tier=str(workload["tier"]),
-        seeds=int(workload["seeds"]),
-        root_seed=int(workload["root_seed"]),
-        jobs=jobs,
-        cache=merged.cache,
-        overrides=dict(workload.get("overrides") or {}) or None,
-        bundle_dir=bundle_dir,
-        progress=progress,
-        stats=stats,
-    )

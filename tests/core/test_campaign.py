@@ -14,6 +14,7 @@ from repro.core.campaign import (
     run_campaign,
 )
 from repro.core.characterization import jitter_versus_length
+from repro.parallel import GridStats, ResultCache
 from repro.rings.iro import InverterRingOscillator
 
 
@@ -136,6 +137,39 @@ def test_generator_root_seed_raises(drive, board, bank):
     """Grid drivers take integer root seeds only; a Generator fails loudly."""
     with pytest.raises(TypeError):
         drive(np.random.default_rng(0), board, bank)
+
+
+@pytest.mark.parametrize(
+    "name,make",
+    [
+        ("jobs", lambda tmp_path: 4),
+        ("jobs", lambda tmp_path: None),
+        ("cache", lambda tmp_path: ResultCache(root=tmp_path / "cache")),
+        ("progress", lambda tmp_path: lambda done, total: None),
+        ("stats", lambda tmp_path: GridStats()),
+    ],
+)
+def test_batch_backend_refuses_grid_arguments(name, make, bank, tmp_path):
+    """The kernels run in-process and uncached: a grid argument selects nothing."""
+    with pytest.raises(ValueError, match=name):
+        run_campaign(
+            [RingSpec("iro", 5)], bank=bank, backend="batch", **{name: make(tmp_path)}
+        )
+
+
+def test_batch_backend_names_every_refused_argument(bank):
+    calls = []
+    stats = GridStats()
+    with pytest.raises(ValueError, match="jobs, progress, stats"):
+        run_campaign(
+            [RingSpec("iro", 5)],
+            bank=bank,
+            backend="batch",
+            jobs=4,
+            progress=lambda done, total: calls.append(done),
+            stats=stats,
+        )
+    assert calls == [] and stats.total == 0
 
 
 def _synthetic_result(label: str, frequency_mhz: float) -> RingCampaignResult:

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.experiments.ext12_differential import (
-    assemble_ext12,
-    run,
-    run_ext12_shard,
-)
+from repro.experiments.ext12_differential import EXT12_WORKLOAD, ext12_args, run
 from repro.experiments.registry import experiment_title, get_experiment
 from repro.parallel import GridStats, ShardSpec, merge_shards
 
@@ -36,24 +32,26 @@ class TestExt12:
         dirs = []
         for index in range(3):
             directory = tmp_path / f"s{index}"
-            run_ext12_shard(ShardSpec(index, 3), directory, **SHRUNK)
+            EXT12_WORKLOAD.shard(ext12_args(**SHRUNK), ShardSpec(index, 3), directory)
             dirs.append(directory)
         merged = merge_shards(dirs, tmp_path / "merged")
-        assert merged.workload["experiment"] == "EXT12"
+        assert merged.workload["workload"] == "EXT12"
         stats = GridStats()
-        assembled = assemble_ext12(merged, stats=stats)
+        assembled = EXT12_WORKLOAD.replay(merged, stats=stats)
         assert assembled.to_json() == run(**SHRUNK).to_json()
         assert stats.executed == 0 and stats.cache_hits == stats.total > 0
 
     def test_assemble_refuses_foreign_workload(self, tmp_path):
-        from repro.verify.runner import run_verification_shard
+        from repro.verify.runner import VERIFY_WORKLOAD, verification_args
 
-        run_verification_shard(
-            ShardSpec(0, 1), tmp_path / "v0", ["EXT12-VAR"], tier="quick", seeds=1
+        VERIFY_WORKLOAD.shard(
+            verification_args(["EXT12-VAR"], "quick", 1, 0, None),
+            ShardSpec(0, 1),
+            tmp_path / "v0",
         )
         merged = merge_shards([tmp_path / "v0"], tmp_path / "merged")
         with pytest.raises(ValueError, match="not an EXT12 grid"):
-            assemble_ext12(merged)
+            EXT12_WORKLOAD.replay(merged)
 
     def test_claims_registered_and_quick_tier_passes(self):
         from repro.verify.claims import get_claim

@@ -17,7 +17,6 @@ from repro.parallel import (
     merge_shards,
     run_grid,
     run_shard,
-    shard_indices,
     spawn_seeds,
 )
 from repro.parallel.sharding import CACHE_DIR_NAME, MANIFEST_NAME, METRICS_NAME
@@ -61,7 +60,7 @@ class TestShardSpec:
 
     def test_round_robin_partition(self):
         assert ShardSpec(1, 3).indices(10) == [1, 4, 7]
-        assert shard_indices(10, ShardSpec(2, 3)) == [2, 5, 8]
+        assert ShardSpec(2, 3).indices(10) == [2, 5, 8]
         # An over-wide partition simply leaves trailing shards empty.
         assert ShardSpec(7, 8).indices(3) == []
 
@@ -310,27 +309,24 @@ class TestCampaignShardIdentity:
             self._specs(), bank=bank, jitter_periods=1024, seed=5
         ).to_json()
 
-    @pytest.mark.parametrize("shard_count", [2, 4])
+    @pytest.mark.parametrize("shard_count", [1, 2, 3, 4])
     def test_merged_campaign_bit_identical(self, tmp_path, shard_count):
-        from repro.core.campaign import assemble_campaign, run_campaign_shard
+        from repro.core.campaign import CAMPAIGN_WORKLOAD, campaign_args
 
+        args = dict(
+            campaign_args(self._specs(), jitter_periods=1024, seed=5),
+            board_count=3,
+            bank_seed=7,
+        )
         dirs = []
         for index in range(shard_count):
             directory = tmp_path / f"s{index}"
-            run_campaign_shard(
-                self._specs(),
-                ShardSpec(index, shard_count),
-                directory,
-                board_count=3,
-                bank_seed=7,
-                jitter_periods=1024,
-                seed=5,
-            )
+            CAMPAIGN_WORKLOAD.shard(args, ShardSpec(index, shard_count), directory)
             dirs.append(directory)
         merged = merge_shards(dirs, tmp_path / "merged")
         assert merged.workload["workload"] == "campaign"
         stats = GridStats()
-        assembled = assemble_campaign(merged, stats=stats)
+        assembled = CAMPAIGN_WORKLOAD.replay(merged, stats=stats)
         assert assembled.to_json() == self._single_host_json()
         assert stats.executed == 0 and stats.cache_hits == stats.total
 
@@ -361,21 +357,20 @@ class TestCampaignShardIdentity:
 class TestVerificationShardIdentity:
     def test_sharded_verify_matches_single_host(self, tmp_path):
         from repro.verify.runner import (
-            assemble_verification,
+            VERIFY_WORKLOAD,
             run_verification,
-            run_verification_shard,
+            verification_args,
         )
 
         claims = ["EXT12-VAR"]
+        args = verification_args(claims, "quick", 3, 0, None)
         dirs = []
         for index in range(2):
             directory = tmp_path / f"s{index}"
-            run_verification_shard(
-                ShardSpec(index, 2), directory, claims, tier="quick", seeds=3
-            )
+            VERIFY_WORKLOAD.shard(args, ShardSpec(index, 2), directory)
             dirs.append(directory)
         merged = merge_shards(dirs, tmp_path / "merged")
-        assembled = assemble_verification(merged)
+        assembled = VERIFY_WORKLOAD.replay(merged)
         direct = run_verification(claims, tier="quick", seeds=3)
         assert assembled.to_dict() == direct.to_dict()
         assert assembled.passed

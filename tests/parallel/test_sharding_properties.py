@@ -12,7 +12,6 @@ from repro.parallel import (
     merge_shards,
     run_grid,
     run_shard,
-    shard_indices,
     spawn_seed_subset,
     spawn_seeds,
 )
@@ -37,7 +36,7 @@ class TestPartitionProperties:
     @given(task_counts, shard_counts)
     def test_shards_are_disjoint_and_cover_the_grid(self, task_count, shard_count):
         owned = [
-            shard_indices(task_count, ShardSpec(index, shard_count))
+            ShardSpec(index, shard_count).indices(task_count)
             for index in range(shard_count)
         ]
         flat = [index for shard in owned for index in shard]
@@ -65,7 +64,7 @@ class TestPartitionProperties:
         # shard outputs mergeable bit-for-bit.
         whole = spawn_seeds(root, task_count) if task_count else []
         for index in range(shard_count):
-            owned = shard_indices(task_count, ShardSpec(index, shard_count))
+            owned = ShardSpec(index, shard_count).indices(task_count)
             subset = spawn_seed_subset(root, task_count, owned) if owned else []
             assert subset == [whole[i] for i in owned]
 

@@ -1,7 +1,9 @@
 """Command-line interface."""
 
 import inspect
+import io
 import json
+import sys
 
 import pytest
 
@@ -795,6 +797,26 @@ class TestShardingCli:
         assert rc == 2
         assert "not a shard directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            {"workload": "toy", "args": {}},
+            {"workload": "experiment", "experiment": "EXT12", "repeats": 4},
+            {"workload": "campaign", "specs": [], "seed": 0},
+        ],
+        ids=["unregistered", "old-ext12-format", "old-campaign-format"],
+    )
+    def test_merge_refuses_unknown_workload(self, capsys, tmp_path, workload):
+        from repro.parallel import GridTask, ShardSpec, run_shard
+
+        tasks = [GridTask(kind="toy_point", spec={"index": 0}, seed=0)]
+        run_shard(tasks, repr, ShardSpec(0, 1), tmp_path / "s0", workload=workload)
+        rc = main(["merge", str(tmp_path / "s0"), "--out", str(tmp_path / "m")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert str(tmp_path / "m") in captured.err
+        assert "Traceback" not in captured.err
+
     def test_run_shard_rejects_unshardable_experiment(self, capsys, tmp_path):
         rc = main(["run", "FIG4", "--shard", "0/2", "--shard-dir", str(tmp_path / "s")])
         assert rc == 2
@@ -826,3 +848,17 @@ class TestShardingCli:
         assert main(self.CAMPAIGN) == 0
         second = capsys.readouterr().out
         assert "grid: 1 grid points: 1 cached, 0 executed" in second
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away, as under ``repro ... | head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_without_traceback(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(["list"]) == 1
+        assert capsys.readouterr().err == ""
