@@ -8,4 +8,4 @@ from conftest import run_reproduction
 
 
 def bench_ext5(benchmark):
-    run_reproduction(benchmark, "EXT5")
+    run_reproduction(benchmark, "EXT5", rounds=3, warmup_rounds=1)

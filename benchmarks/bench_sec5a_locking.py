@@ -8,4 +8,4 @@ from conftest import run_reproduction
 
 
 def bench_sec5a(benchmark):
-    run_reproduction(benchmark, "SEC5A")
+    run_reproduction(benchmark, "SEC5A", rounds=5, warmup_rounds=1)

@@ -594,7 +594,13 @@ def _parse_injections(pairs: Optional[List[str]]) -> Optional[Dict[str, Any]]:
 
 
 def _command_verify(args: argparse.Namespace) -> int:
-    from repro.verify import all_claim_ids, get_claim, replay, run_verification
+    from repro.verify import (
+        DEFAULT_BUNDLE_DIR,
+        all_claim_ids,
+        get_claim,
+        replay,
+        run_verification,
+    )
 
     if args.list:
         for claim_id in all_claim_ids():
@@ -641,6 +647,19 @@ def _command_verify(args: argparse.Namespace) -> int:
     if sharding is not None:
         from repro.verify.runner import verification_args
 
+        refused = [
+            flag
+            for flag, given in (
+                ("--no-cache", args.no_cache),
+                ("--bundle-dir", args.bundle_dir is not None),
+            )
+            if given
+        ]
+        if refused:
+            return _refuse_flags(
+                refused, "not used with --shard (a shard always caches "
+                "into its --shard-dir and writes no replay bundles)"
+            )
         workload_args = verification_args(
             claim_ids, args.tier, args.seeds, args.seed, overrides
         )
@@ -654,7 +673,7 @@ def _command_verify(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=_cli_cache(args),
         overrides=overrides,
-        bundle_dir=args.bundle_dir,
+        bundle_dir=args.bundle_dir if args.bundle_dir is not None else DEFAULT_BUNDLE_DIR,
         progress=progress,
     )
     print(report.to_json() if args.json else report.render())
@@ -1250,9 +1269,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_parser.add_argument(
         "--bundle-dir",
-        default="verify_failures",
+        default=None,
         metavar="DIR",
-        help="directory for replay bundles of failing checks",
+        help="directory for replay bundles of failing checks (default: verify_failures)",
     )
     verify_parser.add_argument(
         "--replay",

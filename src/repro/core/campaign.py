@@ -23,6 +23,7 @@ from repro.parallel.cache import ResultCache, fingerprint
 from repro.parallel.executor import GridStats, GridTask, ProgressCallback, run_grid
 from repro.parallel.seeds import spawn_seeds
 from repro.parallel.sharding import GridWorkload
+from repro.rings.base import simulate_many
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
 from repro.stats.accumulation import accumulation_profile
@@ -181,40 +182,20 @@ def _campaign_segment_worker(task: GridTask) -> List[float]:
 
 
 def _campaign_segments_batch(tasks: Sequence[GridTask]) -> List[List[float]]:
-    """All jitter segments in two vectorized kernel calls (one per family).
+    """All jitter segments in one :func:`simulate_many` call.
 
     Runs the very tasks of :func:`_campaign_grid` — same segment
     lengths, same seeds — so IRO segments (bit-exact kernel) reproduce
     the event-backend campaign digits exactly; STR segments are
     statistically equivalent.
     """
-    from repro.simulation.batch import (
-        IROBatchSpec,
-        STRBatchSpec,
-        simulate_iro_batch,
-        simulate_str_batch,
+    results = simulate_many(
+        [task.payload["ring"] for task in tasks],
+        [task.payload["period_count"] for task in tasks],
+        [task.seed for task in tasks],
+        warmup_periods=CAMPAIGN_WARMUP_PERIODS,
     )
-
-    iro_specs: List[IROBatchSpec] = []
-    str_specs: List[STRBatchSpec] = []
-    slots: List[tuple] = []
-    for task in tasks:
-        ring = task.payload["ring"]
-        edge_count = 2 * (task.payload["period_count"] + CAMPAIGN_WARMUP_PERIODS) + 1
-        if isinstance(ring, InverterRingOscillator):
-            slots.append(("iro", len(iro_specs)))
-            iro_specs.append(IROBatchSpec.from_ring(ring, edge_count=edge_count, seed=task.seed))
-        else:
-            slots.append(("str", len(str_specs)))
-            str_specs.append(STRBatchSpec.from_ring(ring, edge_count=edge_count, seed=task.seed))
-    iro_traces = simulate_iro_batch(iro_specs).traces if iro_specs else []
-    str_traces = simulate_str_batch(str_specs).traces if str_specs else []
-    segments: List[List[float]] = []
-    for family, index in slots:
-        trace = (iro_traces if family == "iro" else str_traces)[index]
-        trimmed = trace.skip_edges(2 * CAMPAIGN_WARMUP_PERIODS)
-        segments.append([float(period) for period in trimmed.periods_ps()])
-    return segments
+    return [[float(period) for period in result.trace.periods_ps()] for result in results]
 
 
 def campaign_args(

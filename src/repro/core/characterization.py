@@ -30,7 +30,7 @@ from repro.measurement.jitter import (
     measure_period_jitter_divider,
 )
 from repro.parallel.seeds import spawn_seeds
-from repro.rings.base import RingOscillator
+from repro.rings.base import RingOscillator, simulate_many
 from repro.simulation.noise import SeedLike
 from repro.stats.descriptive import (
     linearity_r_squared,
@@ -262,49 +262,28 @@ def _jitter_versus_length_batch(
     and what gives the wave kernel its batch width.  Other STR methods
     need one contiguous trace and run a single replica per length.
     """
-    from repro.simulation.batch import (
-        IROBatchSpec,
-        STRBatchSpec,
-        simulate_iro_batch,
-        simulate_str_batch,
-    )
-
     warmup = JITTER_WARMUP_PERIODS
     if ring_family == "iro":
-        specs = [
-            IROBatchSpec.from_ring(
-                ring, edge_count=2 * (period_count + warmup) + 1, seed=point_seed
-            )
-            for ring, point_seed in zip(rings, seeds)
-        ]
-        result = simulate_iro_batch(specs)
+        results = simulate_many(rings, period_count, seeds, warmup_periods=warmup)
         return [
-            jitter_from_trace(
-                ring, trace.skip_edges(2 * warmup), method, point_seed, divider
-            )
-            for ring, trace, point_seed in zip(rings, result.traces, seeds)
+            jitter_from_trace(ring, result.trace, method, point_seed, divider)
+            for ring, result, point_seed in zip(rings, results, seeds)
         ]
 
     replicas = 1
     if method == "population":
         replicas = max(1, min(STR_BATCH_REPLICAS, period_count // (2 * warmup)))
     per_replica = -(-period_count // replicas)  # ceil division
-    specs = []
-    for ring, point_seed in zip(rings, seeds):
-        for child in spawn_seeds(point_seed, replicas):
-            specs.append(
-                STRBatchSpec.from_ring(
-                    ring,
-                    edge_count=2 * (per_replica + warmup) + 1,
-                    seed=child,
-                )
-            )
-    result = simulate_str_batch(specs)
+    results = simulate_many(
+        [ring for ring in rings for _ in range(replicas)],
+        per_replica,
+        [child for point_seed in seeds for child in spawn_seeds(point_seed, replicas)],
+        warmup_periods=warmup,
+    )
     measurements = []
     for index, (ring, point_seed) in enumerate(zip(rings, seeds)):
         traces = [
-            trace.skip_edges(2 * warmup)
-            for trace in result.traces[index * replicas : (index + 1) * replicas]
+            result.trace for result in results[index * replicas : (index + 1) * replicas]
         ]
         if replicas == 1:
             measurements.append(

@@ -20,6 +20,7 @@ from repro.core.charlie import CharlieDiagram, CharlieParameters
 from repro.core.temporal_model import solve_steady_state
 from repro.experiments.base import ExperimentResult
 from repro.fpga.board import Board
+from repro.rings.base import simulate_many
 from repro.rings.modes import classify_trace
 from repro.rings.str_ring import SelfTimedRing
 
@@ -38,23 +39,30 @@ def run(
     base_params = reference.mean_diagram().parameters
     sigma_g = float(reference.jitter_sigmas_ps.mean())
 
-    rows: List[Tuple] = []
-    spreads = {}
-    jitters = {}
+    rings = []
+    diagrams = []
     for scale in scales:
         diagram = CharlieDiagram(
             CharlieParameters.symmetric(
                 base_params.static_delay_ps, scale * base_params.charlie_ps
             )
         )
-        ring = SelfTimedRing(
-            [diagram] * stage_count,
-            token_count,
-            jitter_sigmas_ps=sigma_g,
-            name=f"STR x{scale}",
+        diagrams.append(diagram)
+        rings.append(
+            SelfTimedRing(
+                [diagram] * stage_count,
+                token_count,
+                jitter_sigmas_ps=sigma_g,
+                name=f"STR x{scale}",
+            )
         )
+    results = simulate_many(rings, period_count, [seed] * len(rings), warmup_periods=64)
+
+    rows: List[Tuple] = []
+    spreads = {}
+    jitters = {}
+    for scale, diagram, result in zip(scales, diagrams, results):
         steady = solve_steady_state(diagram, stage_count, token_count)
-        result = ring.simulate(period_count, seed=seed, warmup_periods=64)
         classification = classify_trace(result.trace)
         jitter = result.trace.period_jitter_ps()
         spreads[scale] = classification.coefficient_of_variation

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.charlie import CharlieDiagram, CharlieParameters, DraftingEffect
 from repro.experiments.base import ExperimentResult
 from repro.rings.modes import OscillationMode, classify_trace
+from repro.rings.base import simulate_many
 from repro.rings.str_ring import SelfTimedRing
 from repro.rings.tokens import cluster_tokens
 
@@ -31,15 +32,13 @@ DEFAULT_AMPLITUDES: Tuple[float, ...] = (0.0, 20.0, 45.0, 90.0, 180.0)
 DEFAULT_CHARLIES: Tuple[float, ...] = (30.0, 120.0)
 
 
-def _classify(
+def _ring(
     charlie_ps: float,
     drafting_amplitude_ps: float,
     stage_count: int,
     token_count: int,
     static_delay_ps: float,
-    periods: int,
-    seed: int,
-) -> OscillationMode:
+) -> SelfTimedRing:
     diagram = CharlieDiagram(
         CharlieParameters.symmetric(static_delay_ps, charlie_ps),
         drafting=DraftingEffect(
@@ -48,14 +47,12 @@ def _classify(
         if drafting_amplitude_ps > 0.0
         else DraftingEffect(),
     )
-    ring = SelfTimedRing(
+    return SelfTimedRing(
         [diagram] * stage_count,
         token_count,
         jitter_sigmas_ps=0.5,
         initial_state=cluster_tokens(stage_count, token_count),
     )
-    result = ring.simulate(periods, seed=seed, warmup_periods=64)
-    return classify_trace(result.trace).mode
 
 
 def run(
@@ -68,21 +65,18 @@ def run(
     seed: int = 71,
 ) -> ExperimentResult:
     """Sweep drafting amplitude against Charlie magnitude."""
+    grid = [(charlie, amplitude) for charlie in charlie_magnitudes for amplitude in amplitudes]
+    rings = [
+        _ring(charlie, amplitude, stage_count, token_count, static_delay_ps)
+        for charlie, amplitude in grid
+    ]
+    results = simulate_many(rings, periods, [seed] * len(rings), warmup_periods=64)
     rows: List[Tuple] = []
     modes: Dict[Tuple[float, float], OscillationMode] = {}
-    for charlie in charlie_magnitudes:
-        for amplitude in amplitudes:
-            mode = _classify(
-                charlie,
-                amplitude,
-                stage_count,
-                token_count,
-                static_delay_ps,
-                periods,
-                seed,
-            )
-            modes[(charlie, amplitude)] = mode
-            rows.append((charlie, amplitude, mode.value))
+    for (charlie, amplitude), result in zip(grid, results):
+        mode = classify_trace(result.trace).mode
+        modes[(charlie, amplitude)] = mode
+        rows.append((charlie, amplitude, mode.value))
 
     def burst_threshold(charlie: float) -> Optional[float]:
         for amplitude in sorted(amplitudes):

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.experiments.base import ExperimentResult
 from repro.fpga.board import Board
-from repro.rings.base import RingOscillator
+from repro.rings.base import RingOscillator, simulate_many
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
 from repro.simulation.noise import SinusoidalModulation
@@ -51,14 +51,15 @@ def _restart_spread(
     boundaries common to all restarts.
     """
     edge_count = 2 * period_count
+    results = simulate_many(
+        [ring] * restarts,
+        period_count + 1,
+        [seed + restart for restart in range(restarts)],
+        warmup_periods=0,
+        modulation=modulation,
+    )
     times = np.empty((restarts, period_count))
-    for restart in range(restarts):
-        result = ring.simulate(
-            period_count + 1,
-            seed=seed + restart,
-            warmup_periods=0,
-            modulation=modulation,
-        )
+    for restart, result in enumerate(results):
         boundary_times = result.warmup_trace.times_ps[:edge_count:2]
         times[restart] = boundary_times[:period_count]
     indices = np.arange(1, period_count + 1)
@@ -80,8 +81,10 @@ def run(
     rows: List[Tuple] = []
     fits = {}
     rates = {}
+    clean = {}
     for ring in (iro, str_ring):
-        indices, _mean, spread = _restart_spread(ring, restarts, period_count, seed)
+        clean[ring.name] = _restart_spread(ring, restarts, period_count, seed)
+        indices, _mean, spread = clean[ring.name]
         # Skip the first few boundaries (start-up transient for the STR).
         keep = indices >= 4
         fit = fit_power_law(indices[keep], spread[keep])
@@ -93,9 +96,7 @@ def run(
 
     # Restart-synchronous ripple: same modulation phase every restart.
     ripple = SinusoidalModulation(amplitude=ripple_amplitude, period_ps=5e4)
-    _indices, mean_clean, spread_clean = _restart_spread(
-        iro, restarts, period_count, seed
-    )
+    _indices, mean_clean, spread_clean = clean[iro.name]
     _indices, mean_rippled, spread_rippled = _restart_spread(
         iro, restarts, period_count, seed, modulation=ripple
     )

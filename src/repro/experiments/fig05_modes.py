@@ -18,31 +18,28 @@ from typing import List, Tuple
 from repro.core.charlie import CharlieDiagram, CharlieParameters, DraftingEffect
 from repro.experiments.base import ExperimentResult
 from repro.rings.modes import OscillationMode, classify_trace
+from repro.rings.base import simulate_many
 from repro.rings.str_ring import SelfTimedRing
 from repro.rings.tokens import cluster_tokens
 
 
-def _simulate_mode(
+def _ring(
     stage_count: int,
     token_count: int,
     charlie_ps: float,
     drafting: DraftingEffect,
     static_delay_ps: float,
-    periods: int,
-    seed: int,
-):
+) -> SelfTimedRing:
     diagram = CharlieDiagram(
         CharlieParameters.symmetric(static_delay_ps, charlie_ps), drafting=drafting
     )
-    ring = SelfTimedRing(
+    return SelfTimedRing(
         [diagram] * stage_count,
         token_count,
         jitter_sigmas_ps=0.5,
         initial_state=cluster_tokens(stage_count, token_count),
         name=f"STR {stage_count}C",
     )
-    result = ring.simulate(periods, seed=seed, warmup_periods=64)
-    return classify_trace(result.trace)
 
 
 def run(
@@ -53,23 +50,19 @@ def run(
 ) -> ExperimentResult:
     """Reproduce the two oscillation modes from a clustered start."""
     static_delay = 250.0
-    charlie_case = _simulate_mode(
-        stage_count,
-        token_count,
-        charlie_ps=120.0,
-        drafting=DraftingEffect(),
-        static_delay_ps=static_delay,
-        periods=periods,
-        seed=seed,
-    )
-    drafting_case = _simulate_mode(
-        stage_count,
-        token_count,
-        charlie_ps=2.0,
-        drafting=DraftingEffect(amplitude_ps=120.0, time_constant_ps=400.0),
-        static_delay_ps=static_delay,
-        periods=periods,
-        seed=seed,
+    rings = [
+        _ring(stage_count, token_count, 120.0, DraftingEffect(), static_delay),
+        _ring(
+            stage_count,
+            token_count,
+            2.0,
+            DraftingEffect(amplitude_ps=120.0, time_constant_ps=400.0),
+            static_delay,
+        ),
+    ]
+    charlie_case, drafting_case = (
+        classify_trace(result.trace)
+        for result in simulate_many(rings, periods, [seed, seed], warmup_periods=64)
     )
     rows: List[Tuple] = [
         (

@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.temporal_model import solve_steady_state
 from repro.experiments.base import ExperimentResult
 from repro.fpga.board import Board
+from repro.rings.base import simulate_many
 from repro.rings.modes import OscillationMode, classify_trace
 from repro.rings.str_ring import SelfTimedRing
 
@@ -37,15 +38,22 @@ def run(
 ) -> ExperimentResult:
     """Classify the steady regime of every configuration the paper lists."""
     board = board if board is not None else Board()
+    rings = [SelfTimedRing.on_board(board, length) for length in balanced_lengths]
+    rings += [
+        SelfTimedRing.on_board(board, 32, token_count=token_count)
+        for token_count in token_counts_32
+    ]
+    labels = ["balanced sweep"] * len(balanced_lengths)
+    labels += ["NT sweep L=32"] * len(token_counts_32)
+    # One kernel call for the whole sweep; every result is the ring's own.
+    results = simulate_many(rings, period_count, [seed] * len(rings), warmup_periods=48)
+
     rows: List[Tuple] = []
     verdicts: List[bool] = []
-
-    def classify(ring: SelfTimedRing, label: str) -> None:
+    for ring, label, result in zip(rings, labels, results):
         steady = solve_steady_state(ring.mean_diagram(), ring.stage_count, ring.token_count)
-        result = ring.simulate(period_count, seed=seed, warmup_periods=48)
         classification = classify_trace(result.trace)
-        evenly = classification.mode is OscillationMode.EVENLY_SPACED
-        verdicts.append(evenly)
+        verdicts.append(classification.mode is OscillationMode.EVENLY_SPACED)
         rows.append(
             (
                 label,
@@ -57,15 +65,8 @@ def run(
                 steady.regulation_margin,
             )
         )
-
-    for length in balanced_lengths:
-        classify(SelfTimedRing.on_board(board, length), "balanced sweep")
-    balanced_ok = all(verdicts)
-
-    token_verdicts_start = len(verdicts)
-    for token_count in token_counts_32:
-        classify(SelfTimedRing.on_board(board, 32, token_count=token_count), "NT sweep L=32")
-    token_sweep_ok = all(verdicts[token_verdicts_start:])
+    balanced_ok = all(verdicts[: len(balanced_lengths)])
+    token_sweep_ok = all(verdicts[len(balanced_lengths) :])
 
     return ExperimentResult(
         experiment_id="SEC5A",

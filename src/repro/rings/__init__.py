@@ -6,7 +6,8 @@ Both oscillators expose the same two evaluation paths:
   producing an :class:`~repro.simulation.waveform.EdgeTrace` of the
   output stage: on the vectorized batch kernel by default, on the
   per-event :mod:`repro.simulation` engine (the oracle) with
-  ``backend="event"``;
+  ``backend="event"``; :func:`simulate_many` runs a sweep of rings with
+  one kernel call per family;
 * ``sample_periods(...)`` — a fast vectorized sampler drawing periods
   from the validated analytical model, for statistics-hungry experiments.
 
@@ -14,7 +15,7 @@ Rings are instantiated *on a board* (:meth:`on_board`), which resolves
 their placement and per-stage timing through the FPGA substrate.
 """
 
-from repro.rings.base import RingOscillator, SimulationResult
+from repro.rings.base import RingOscillator, SimulationResult, simulate_many
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
 from repro.rings.tokens import (
@@ -30,6 +31,7 @@ from repro.rings.modes import OscillationMode, classify_intervals, classify_trac
 __all__ = [
     "RingOscillator",
     "SimulationResult",
+    "simulate_many",
     "InverterRingOscillator",
     "SelfTimedRing",
     "spread_tokens_evenly",

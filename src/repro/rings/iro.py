@@ -14,12 +14,18 @@ of the pair.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.rings.base import RingOscillator, SimulationResult
-from repro.simulation.batch import IROBatchSpec, modulation_is_batchable, simulate_iro_batch
+from repro.rings.base import (
+    RingOscillator,
+    SimulationResult,
+    _check_backend,
+    _check_run,
+    simulate_many,
+)
+from repro.simulation.batch import IROBatchSpec
 from repro.simulation.engine import SimulationLimits, Simulator
 from repro.simulation.events import Transition
 from repro.simulation.noise import (
@@ -29,7 +35,7 @@ from repro.simulation.noise import (
     make_rng,
 )
 from repro.simulation.waveform import EdgeTrace
-from repro.telemetry import default_registry, span
+from repro.telemetry import default_registry
 
 
 class InverterRingOscillator(RingOscillator):
@@ -45,6 +51,8 @@ class InverterRingOscillator(RingOscillator):
     name:
         Report label, e.g. ``"IRO 5C"``.
     """
+
+    family = "iro"
 
     def __init__(
         self,
@@ -166,48 +174,40 @@ class InverterRingOscillator(RingOscillator):
         """Exact run observed at the last ring stage.
 
         ``backend="batch"`` (default) runs the vectorized kernel in
-        :mod:`repro.simulation.batch` — bit-identical to the event
-        engine for any seed.  Time-varying modulations fall back to the
-        event engine: the fallback is counted in
+        :mod:`repro.simulation.batch` through
+        :func:`~repro.rings.base.simulate_many` — bit-identical to the
+        event engine for any seed.  Time-varying modulations fall back to
+        the event engine: the fallback is counted in
         ``repro.batch.fallbacks`` and the ``simulate`` span is tagged
         with the backend that ran and the rejected modulation's class.
         ``backend="event"`` is the per-event oracle.
         """
-        if period_count < 1:
-            raise ValueError(f"period_count must be positive, got {period_count}")
-        if warmup_periods < 0:
-            raise ValueError(f"warmup_periods must be non-negative, got {warmup_periods}")
-        if backend not in ("event", "batch"):
-            raise ValueError(f"backend must be 'event' or 'batch', got {backend!r}")
-        attrs = {"ring": self.name, "periods": period_count, "backend": backend}
-        if backend == "batch" and not modulation_is_batchable(modulation, "iro"):
-            default_registry().counter("repro.batch.fallbacks").inc()
-            attrs.update(backend="event", rejected_modulation=type(modulation).__name__)
-        # +1 edge so the last period is complete; x2 edges per period.
-        needed_edges = 2 * (period_count + warmup_periods) + 1
-        with span("simulate", **attrs) as tele:
-            if attrs["backend"] == "batch":
-                spec = IROBatchSpec.from_ring(self, edge_count=needed_edges, seed=seed)
-                result = simulate_iro_batch([spec], modulation=modulation)
-                full_trace = result.traces[0]
-                events = result.events_processed
-            else:
-                process = _IROProcess(self, modulation, make_rng(seed))
-                simulator = Simulator()
-                output_node = self.stage_count - 1
-                simulator.observe(output_node)
-                simulator.run(process, SimulationLimits(max_observed_edges=needed_edges))
-                full_trace = EdgeTrace.from_edges(simulator.edges_for(output_node))
-                events = simulator.events_processed
-                registry = default_registry()
-                registry.counter("repro.rings.iro.simulations").inc()
-                registry.counter("repro.rings.iro.events").inc(events)
-            tele.set("events", events)
-        return SimulationResult(
-            trace=full_trace.skip_edges(2 * warmup_periods),
-            warmup_trace=full_trace,
-            events_processed=events,
-        )
+        _check_backend(backend)
+        if backend == "batch":
+            return simulate_many([self], period_count, [seed], warmup_periods, modulation)[0]
+        _check_run(period_count, warmup_periods)
+        return self._simulate_event(period_count, seed, modulation, warmup_periods, 0)
+
+    def _batch_spec(self, edge_count: int, seed: SeedLike, output_stage: int) -> IROBatchSpec:
+        return IROBatchSpec.from_ring(self, edge_count=edge_count, seed=seed)
+
+    def _event_trace(
+        self,
+        edge_count: int,
+        seed: SeedLike,
+        modulation: Optional[DeterministicModulation],
+        output_stage: int,
+    ) -> Tuple[EdgeTrace, int]:
+        process = _IROProcess(self, modulation, make_rng(seed))
+        simulator = Simulator()
+        output_node = self.stage_count - 1
+        simulator.observe(output_node)
+        simulator.run(process, SimulationLimits(max_observed_edges=edge_count))
+        events = simulator.events_processed
+        registry = default_registry()
+        registry.counter("repro.rings.iro.simulations").inc()
+        registry.counter("repro.rings.iro.events").inc(events)
+        return EdgeTrace.from_edges(simulator.edges_for(output_node)), events
 
 
 class _IROProcess:

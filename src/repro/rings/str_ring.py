@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,9 +33,15 @@ from repro.core.temporal_model import (
     solve_steady_state,
     validate_token_configuration,
 )
-from repro.rings.base import RingOscillator, SimulationResult
+from repro.rings.base import (
+    RingOscillator,
+    SimulationResult,
+    _check_backend,
+    _check_run,
+    simulate_many,
+)
 from repro.rings.tokens import fireable_stages, spread_tokens_evenly
-from repro.simulation.batch import STRBatchSpec, simulate_str_batch
+from repro.simulation.batch import STRBatchSpec
 from repro.simulation.engine import SimulationLimits, Simulator, StopReason
 from repro.simulation.events import Transition
 from repro.simulation.noise import (
@@ -67,6 +73,8 @@ class SelfTimedRing(RingOscillator):
     name:
         Report label, e.g. ``"STR 96C"``.
     """
+
+    family = "str"
 
     def __init__(
         self,
@@ -260,53 +268,58 @@ class SelfTimedRing(RingOscillator):
         """Exact run observed at ``output_stage``.
 
         ``backend="batch"`` (default) runs the vectorized wave kernel in
-        :mod:`repro.simulation.batch`, which accepts every modulation —
-        bit-identical to the event engine for noiseless rings,
-        statistically equivalent (same model, different draw order) with
-        jitter.  ``backend="event"`` is the per-event oracle, for
-        callers that need its exact edge stream.  The ``simulate`` span
-        is tagged with the backend that ran.
+        :mod:`repro.simulation.batch` through
+        :func:`~repro.rings.base.simulate_many`, which accepts every
+        modulation — bit-identical to the event engine for noiseless
+        rings, statistically equivalent (same model, different draw
+        order) with jitter.  ``backend="event"`` is the per-event oracle,
+        for callers that need its exact edge stream.  The ``simulate``
+        span is tagged with the backend that ran.
         """
-        if period_count < 1:
-            raise ValueError(f"period_count must be positive, got {period_count}")
-        if warmup_periods < 0:
-            raise ValueError(f"warmup_periods must be non-negative, got {warmup_periods}")
         if not (0 <= output_stage < self.stage_count):
             raise ValueError(f"output stage {output_stage} outside ring of {self.stage_count}")
-        if backend not in ("event", "batch"):
-            raise ValueError(f"backend must be 'event' or 'batch', got {backend!r}")
-        needed_edges = 2 * (period_count + warmup_periods) + 1
-        with span("simulate", ring=self.name, periods=period_count, backend=backend) as tele:
-            if backend == "batch":
-                spec = STRBatchSpec.from_ring(
-                    self, edge_count=needed_edges, seed=seed, output_stage=output_stage
-                )
-                result = simulate_str_batch([spec], modulation=modulation)
-                full_trace = result.traces[0]
-                events = result.events_processed
-            else:
-                process = _STRProcess(self, modulation, make_rng(seed))
-                simulator = Simulator()
-                simulator.observe(output_stage)
-                reason = simulator.run(process, SimulationLimits(max_observed_edges=needed_edges))
-                full_trace = EdgeTrace.from_edges(simulator.edges_for(output_stage))
-                events = simulator.events_processed
-                registry = default_registry()
-                registry.counter("repro.rings.str.simulations").inc()
-                registry.counter("repro.rings.str.events").inc(events)
-                if reason is StopReason.QUEUE_EMPTY or len(full_trace) < needed_edges:
-                    registry.counter("repro.rings.str.deadlocks").inc()
-                    raise RuntimeError(
-                        f"{self.name} deadlocked (engine reported {reason.value}) after "
-                        f"{len(full_trace)} observed edges (wanted {needed_edges}); "
-                        f"final state {''.join(str(v) for v in process.state_snapshot())}"
-                    )
-            tele.set("events", events)
-        return SimulationResult(
-            trace=full_trace.skip_edges(2 * warmup_periods),
-            warmup_trace=full_trace,
-            events_processed=events,
+        _check_backend(backend)
+        if backend == "batch":
+            return simulate_many(
+                [self],
+                period_count,
+                [seed],
+                warmup_periods,
+                modulation,
+                output_stage=output_stage,
+            )[0]
+        _check_run(period_count, warmup_periods)
+        return self._simulate_event(period_count, seed, modulation, warmup_periods, output_stage)
+
+    def _batch_spec(self, edge_count: int, seed: SeedLike, output_stage: int) -> STRBatchSpec:
+        return STRBatchSpec.from_ring(
+            self, edge_count=edge_count, seed=seed, output_stage=output_stage
         )
+
+    def _event_trace(
+        self,
+        edge_count: int,
+        seed: SeedLike,
+        modulation: Optional[DeterministicModulation],
+        output_stage: int,
+    ) -> Tuple[EdgeTrace, int]:
+        process = _STRProcess(self, modulation, make_rng(seed))
+        simulator = Simulator()
+        simulator.observe(output_stage)
+        reason = simulator.run(process, SimulationLimits(max_observed_edges=edge_count))
+        full_trace = EdgeTrace.from_edges(simulator.edges_for(output_stage))
+        events = simulator.events_processed
+        registry = default_registry()
+        registry.counter("repro.rings.str.simulations").inc()
+        registry.counter("repro.rings.str.events").inc(events)
+        if reason is StopReason.QUEUE_EMPTY or len(full_trace) < edge_count:
+            registry.counter("repro.rings.str.deadlocks").inc()
+            raise RuntimeError(
+                f"{self.name} deadlocked (engine reported {reason.value}) after "
+                f"{len(full_trace)} observed edges (wanted {edge_count}); "
+                f"final state {''.join(str(v) for v in process.state_snapshot())}"
+            )
+        return full_trace, events
 
     def simulate_phases(
         self,

@@ -42,7 +42,10 @@ order; see docs/performance.md for the documented tolerance bounds).
 
 Rings of different lengths batch together: stage axes are padded to the
 longest ring and neighbours resolved through per-ring index maps, so a
-mixed FIG11/FIG12-style workload runs as one kernel invocation.
+mixed FIG11/FIG12-style workload runs as one kernel invocation.  Within
+an STR batch each ring is routed on its own: rings whose firing provably
+alternates between even and odd stages run on the dense parity kernel,
+the rest on the general masked-wave kernel, in one call.
 
 Every result depends only on the owning ring's spec and seed — never on
 which other rings share the batch — so batch composition is a pure
@@ -69,6 +72,9 @@ from repro.telemetry import default_registry, span
 #: a delay non-positive; the kernels clamp with the same constant so the
 #: guarded paths stay bit-compatible.
 _CAUSALITY_GUARD_PS = 1e-6
+
+#: Rows of a ring's noise block the parity kernel draws at a time.
+_NOISE_CHUNK_ROWS = 1024
 
 
 class BatchUnsupported(ValueError):
@@ -253,12 +259,16 @@ class BatchSimulationResult:
 
     ``events_processed`` counts stage firings / hops across the whole
     batch; ``waves`` is the number of synchronous iterations the STR
-    kernel ran (0 for IRO batches).
+    kernels ran (0 for IRO batches).  ``ring_events[i]`` is the number
+    of firings / hops ring ``i`` needs when run alone; the parity kernel
+    runs its rings in lockstep to the longest budget, so
+    ``events_processed`` can exceed their sum.
     """
 
     traces: List[EdgeTrace]
     events_processed: int
     waves: int = 0
+    ring_events: Tuple[int, ...] = ()
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -312,6 +322,7 @@ def simulate_iro_batch(
     factor = 0.0 if modulation is None else modulation.factor(0.0)
     with span("batch_simulate", family="iro", rings=len(specs)) as tele:
         traces: List[EdgeTrace] = []
+        ring_events: List[int] = []
         total_events = 0
         for spec in specs:
             stage_count = spec.stage_count
@@ -328,13 +339,16 @@ def simulate_iro_batch(
             # The observed node is the last stage: one edge per lap.
             edge_times = times[stage_count - 1 :: stage_count]
             traces.append(EdgeTrace(edge_times, first_value=1))
+            ring_events.append(hop_count)
             total_events += hop_count
         tele.set("events", total_events)
         registry = default_registry()
         registry.counter("repro.batch.simulations").inc()
         registry.counter("repro.batch.rings").inc(len(specs))
         registry.counter("repro.batch.events").inc(total_events)
-        return BatchSimulationResult(traces=traces, events_processed=total_events)
+        return BatchSimulationResult(
+            traces=traces, events_processed=total_events, ring_events=tuple(ring_events)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -373,11 +387,13 @@ def simulate_str_batch(
     bit-identical to ``SelfTimedRing.simulate`` for noiseless rings and
     statistically equivalent with jitter.
 
-    Two implementations share the same arithmetic, bit for bit: rings
-    whose token pattern provably alternates between the even and the odd
-    stages every wave (the standard evenly-spread configuration) run on
-    a dense precomputed-structure kernel (:func:`_simulate_str_parity`);
-    anything else falls back to the general masked-wave kernel.
+    Two implementations share the same arithmetic, bit for bit, and each
+    ring is routed on its own: rings whose token pattern provably
+    alternates between the even and the odd stages every wave (the
+    standard evenly-spread configuration) run on a dense
+    precomputed-structure kernel (:func:`_simulate_str_parity`), the
+    rest on the general masked-wave kernel (:func:`_simulate_str_waves`).
+    Traces come back in spec order.
 
     Raises ``RuntimeError`` when a ring deadlocks (no fireable stage
     left before its edge budget is met), mirroring the event path.
@@ -385,69 +401,81 @@ def simulate_str_batch(
     specs = list(specs)
     if not specs:
         return BatchSimulationResult(traces=[], events_processed=0)
-    plans = _parity_plan(specs)
-    if plans is not None:
-        return _simulate_str_parity(specs, modulation, plans)
-    return _simulate_str_waves(specs, modulation)
+    plans = [_parity_plan(spec) for spec in specs]
+    parity_rows = [row for row, plan in enumerate(plans) if plan is not None]
+    general_rows = [row for row, plan in enumerate(plans) if plan is None]
+    traces: List[Optional[EdgeTrace]] = [None] * len(specs)
+    ring_events = [0] * len(specs)
+    total_events = 0
+    total_waves = 0
+    with span(
+        "batch_simulate", family="str", rings=len(specs), parity_rings=len(parity_rows)
+    ) as tele:
+        parts = []
+        if parity_rows:
+            parity_specs = [specs[row] for row in parity_rows]
+            parity_plans = [plans[row] for row in parity_rows]
+            parts.append(
+                (parity_rows, _simulate_str_parity(parity_specs, modulation, parity_plans))
+            )
+        if general_rows:
+            general_specs = [specs[row] for row in general_rows]
+            parts.append((general_rows, _simulate_str_waves(general_specs, modulation)))
+        for rows, part in parts:
+            for row, trace, events in zip(rows, part.traces, part.ring_events):
+                traces[row] = trace
+                ring_events[row] = events
+            total_events += part.events_processed
+            total_waves += part.waves
+        tele.set("events", total_events)
+        tele.set("waves", total_waves)
+        registry = default_registry()
+        registry.counter("repro.batch.simulations").inc()
+        registry.counter("repro.batch.rings").inc(len(specs))
+        registry.counter("repro.batch.events").inc(total_events)
+        registry.counter("repro.batch.waves").inc(total_waves)
+    return BatchSimulationResult(
+        traces=traces,
+        events_processed=total_events,
+        waves=total_waves,
+        ring_events=tuple(ring_events),
+    )
 
 
-def _parity_plan(specs: Sequence[STRBatchSpec]) -> Optional[List[np.ndarray]]:
-    """Prove, per ring, that firing alternates between even and odd stages.
+def _parity_plan(spec: STRBatchSpec) -> Optional[np.ndarray]:
+    """Prove that one ring's firing alternates between even and odd stages.
 
     The *structural* evolution (which stages hold a token+bubble) never
     depends on timing, only on the state vector, so it can be iterated
     symbolically.  If wave 0 fires exactly one parity class, wave 1 the
     other, and two waves rotate the state by exactly two stages, then by
     ring symmetry the pattern repeats forever (parity classes are
-    invariant under even rotations).  Returns each ring's wave-0 firing
-    mask, or ``None`` when any ring breaks the pattern.
+    invariant under even rotations).  Returns the ring's wave-0 firing
+    mask, or ``None`` when the ring breaks the pattern.
     """
-    plans: List[np.ndarray] = []
-    for spec in specs:
-        stages = spec.stage_count
-        if stages % 2:
+    stages = spec.stage_count
+    if stages % 2:
+        return None
+    parity = np.arange(stages) % 2
+    start = spec.initial_state.astype(np.int8)
+    state = start.copy()
+    masks = []
+    for _ in range(2):
+        pred = np.roll(state, 1)
+        succ = np.roll(state, -1)
+        enabled = (state != pred) & (succ == state)
+        if not enabled.any():
             return None
-        parity = np.arange(stages) % 2
-        start = spec.initial_state.astype(np.int8)
-        state = start.copy()
-        masks = []
-        for _ in range(2):
-            pred = np.roll(state, 1)
-            succ = np.roll(state, -1)
-            enabled = (state != pred) & (succ == state)
-            if not enabled.any():
-                return None
-            masks.append(enabled)
-            state = np.where(enabled, pred, state)
-        even, odd = parity == 0, parity == 1
-        first_even = np.array_equal(masks[0], even) and np.array_equal(masks[1], odd)
-        first_odd = np.array_equal(masks[0], odd) and np.array_equal(masks[1], even)
-        if not (first_even or first_odd):
-            return None
-        if not np.array_equal(state, np.roll(start, 2)):
-            return None
-        plans.append(masks[0])
-    return plans
-
-
-def _noise_flat(
-    specs: Sequence[STRBatchSpec], budget: int, bases: np.ndarray
-) -> np.ndarray:
-    """Pre-drawn jitter in flat layout: ``[n, base_r + stage]``.
-
-    Draw-for-draw identical to :func:`_noise_tensor` for the same seeds
-    and firing indices (both fill each ring's block row-major), so the
-    parity and general kernels consume the very same values.
-    """
-    total = int(bases[-1]) + specs[-1].stage_count
-    noise = np.zeros((budget, total))
-    for spec, base in zip(specs, bases):
-        if np.all(spec.jitter_sigmas_ps == 0.0):
-            continue
-        block = make_rng(spec.seed).standard_normal((budget, spec.stage_count))
-        block *= spec.jitter_sigmas_ps[np.newaxis, :]
-        noise[:, base : base + spec.stage_count] = block
-    return noise
+        masks.append(enabled)
+        state = np.where(enabled, pred, state)
+    even, odd = parity == 0, parity == 1
+    first_even = np.array_equal(masks[0], even) and np.array_equal(masks[1], odd)
+    first_odd = np.array_equal(masks[0], odd) and np.array_equal(masks[1], even)
+    if not (first_even or first_odd):
+        return None
+    if not np.array_equal(state, np.roll(start, 2)):
+        return None
+    return masks[0]
 
 
 def _simulate_str_parity(
@@ -457,11 +485,15 @@ def _simulate_str_parity(
 ) -> BatchSimulationResult:
     """Dense STR kernel for rings with a proven even/odd firing pattern.
 
-    All rings' stages are packed into one flat vector (no padding), and
-    because the firing sets are known a priori there is no per-wave
-    enabled-mask computation, no done bookkeeping, and the noise row for
-    firing index ``k`` is just row ``k`` of the pre-drawn matrix.  Every
-    float operation mirrors :func:`_simulate_str_waves` exactly.
+    Every stage belongs to one *phase*: phase 0 fires on even waves,
+    phase 1 on odd waves, and a stage's two neighbours always belong to
+    the other phase.  So each phase keeps its own packed vectors — the
+    stages' last firing times, their parameters, and their pre-drawn
+    noise, one row per firing index — and a wave reads the other phase's
+    times, gathers nothing else, and its firing times *become* its own
+    phase's time vector.  There is no per-wave enabled mask, no done
+    bookkeeping and no scatter.  Every float operation mirrors
+    :func:`_simulate_str_waves` exactly, in the same order.
     """
     ring_count = len(specs)
     lengths = np.array([spec.stage_count for spec in specs], dtype=np.intp)
@@ -472,139 +504,184 @@ def _simulate_str_parity(
     def packed(attr: str) -> np.ndarray:
         return np.concatenate([np.asarray(getattr(s, attr)) for s in specs])
 
-    state = packed("initial_state").astype(np.int8)
-    static_d = packed("static_delays_ps")
-    offsets = packed("separation_offsets_ps")
-    charlie = packed("charlie_ps")
-    weights = packed("supply_weights")
-    draft_amp = packed("drafting_amplitudes_ps")
-    draft_tau = packed("drafting_time_constants_ps")
-    drafting_active = bool(np.any(draft_amp > 0.0))
     pred = np.concatenate(
         [base + (np.arange(n) - 1) % n for base, n in zip(bases, lengths)]
     )
     succ = np.concatenate(
         [base + (np.arange(n) + 1) % n for base, n in zip(bases, lengths)]
     )
-    last_time = np.zeros(total)
-
+    drafting_active = any(np.any(spec.drafting_amplitudes_ps > 0.0) for spec in specs)
     edge_counts = np.array([spec.edge_count for spec in specs], dtype=np.intp)
     out_global = bases + np.array([spec.output_stage for spec in specs], dtype=np.intp)
     out_parity = np.array(
         [0 if plan[spec.output_stage] else 1 for spec, plan in zip(specs, plans)],
         dtype=np.intp,
     )
+
+    # Phase layout: global flat position -> (phase, index within phase).
+    phase0 = np.concatenate(plans)
+    pos = [np.flatnonzero(phase0), np.flatnonzero(~phase0)]
+    local = np.empty(total, dtype=np.intp)
+    for p in pos:
+        local[p] = np.arange(p.size)
+
+    # Pre-drawn jitter straight into the phase layout: noise[phase][n, j]
+    # is the n-th firing's draw of phase stage j.  The draws are the
+    # general kernel's (each ring's (budget, stages) block, row-major
+    # from its seed), made a few rows at a time — consecutive draws
+    # continue one stream — so no full-size block is ever held.
     budget = int(edge_counts.max()) + 4
-    noise = _noise_flat(specs, budget, bases)
+    noise = [np.zeros((budget, p.size)) for p in pos]
+    for spec, base, plan in zip(specs, bases, plans):
+        if np.all(spec.jitter_sigmas_ps == 0.0):
+            continue
+        rng = make_rng(spec.seed)
+        half = spec.stage_count // 2
+        offset0 = 0 if plan[0] else 1  # the ring's first phase-0 stage
+        for row in range(0, budget, _NOISE_CHUNK_ROWS):
+            rows = min(_NOISE_CHUNK_ROWS, budget - row)
+            block = rng.standard_normal((rows, spec.stage_count))
+            block *= spec.jitter_sigmas_ps[np.newaxis, :]
+            for matrix, offset in ((noise[0], offset0), (noise[1], 1 - offset0)):
+                first = local[base + offset]
+                matrix[row : row + rows, first : first + half] = block[:, offset::2]
 
-    # Per-parity structure, fixed for the whole run: firing positions,
-    # their neighbours, and their parameter slices (gathered once).
-    pos, pre, suc, par = [], [], [], []
-    for phase in (0, 1):
-        mask = np.concatenate(
-            [plan if phase == 0 else ~plan for plan in plans]
-        )
-        p = np.flatnonzero(mask)
-        pos.append(p)
-        pre.append(pred.take(p))
-        suc.append(succ.take(p))
-        par.append(
-            {
-                "static": static_d.take(p),
-                "offsets": offsets.take(p),
-                "charlie": charlie.take(p),
-                "weights": weights.take(p),
-                "amp": draft_amp.take(p),
-                "tau": draft_tau.take(p),
-                "amp_positive": draft_amp.take(p) > 0.0,
-            }
-        )
-    out_pos = [out_global[out_parity == phase] for phase in (0, 1)]
-    out_rings = [np.flatnonzero(out_parity == phase) for phase in (0, 1)]
-
-    edge_budget = int(edge_counts.max())
-    edges_t = np.zeros((edge_budget, ring_count))
-    first_values = np.full(ring_count, -1, dtype=np.int8)
-    total_waves = int((2 * (edge_counts - 1) + out_parity).max()) + 1
-
-    bufs = [
-        {name: np.empty(pos[phase].size) for name in ("f", "r", "mean", "shift", "delay", "fire", "tmp", "z")}
+    # Per-phase structure, fixed for the whole run.  A phase records the
+    # edges of the rings whose output stage it holds, one column per ring.
+    phase_edges = [
+        np.zeros((int(edge_counts.max()), int(np.count_nonzero(out_parity == phase))))
         for phase in (0, 1)
     ]
+    parameters = [
+        packed(attr)
+        for attr in (
+            "separation_offsets_ps",
+            "charlie_ps",
+            "static_delays_ps",
+            "supply_weights",
+            "drafting_amplitudes_ps",
+            "drafting_time_constants_ps",
+        )
+    ]
+    phases = []
+    for phase, p in enumerate(pos):
+        offsets, charlie, static_d, weights, amp, tau = (a.take(p) for a in parameters)
+        recorded = out_parity == phase
+        phases.append(
+            (
+                local.take(pred.take(p)),  # indices into the other phase
+                local.take(succ.take(p)),
+                offsets,
+                charlie,
+                static_d,
+                weights,
+                amp,
+                tau,
+                amp > 0.0,
+                noise[phase],
+                local.take(out_global[recorded]),
+                phase_edges[phase],
+                np.empty(p.size, dtype=bool),
+                tuple(np.empty(p.size) for _ in range(6)),
+            )
+        )
+    times = [np.zeros(p.size) for p in pos]  # last firing time per phase stage
+    fire_bufs = [np.empty(p.size) for p in pos]
 
-    total_events = 0
-    with span("batch_simulate", family="str", rings=ring_count, kernel="parity") as tele:
-        for wave in range(total_waves):
-            phase = wave & 1
-            k = wave >> 1
-            p = pos[phase]
-            prm = par[phase]
-            b = bufs[phase]
-            f_t, r_t = b["f"], b["r"]
-            mean_t, shifted, delay = b["mean"], b["shift"], b["delay"]
-            fire_time, tmp = b["fire"], b["tmp"]
+    ring_waves = 2 * (edge_counts - 1) + out_parity + 1
+    total_waves = int(ring_waves.max())
 
-            last_time.take(pre[phase], out=f_t)
-            last_time.take(suc[phase], out=r_t)
-            np.add(f_t, r_t, out=mean_t)
-            mean_t *= 0.5
-            np.subtract(f_t, r_t, out=shifted)
-            shifted *= 0.5
-            shifted -= prm["offsets"]
-            np.hypot(prm["charlie"], shifted, out=delay)
-            delay += prm["static"]
-            if drafting_active:
-                np.add(mean_t, delay, out=tmp)
-                tmp -= last_time.take(p)
-                draft_mask = tmp > 0.0
-                draft_mask &= prm["amp_positive"]
-                np.maximum(tmp, 0.0, out=tmp)
-                np.negative(tmp, out=tmp)
-                tmp /= prm["tau"]
-                np.exp(tmp, out=tmp)
-                tmp *= prm["amp"]
-                tmp *= draft_mask
-                delay -= tmp
-            floor_t = np.maximum(f_t, r_t, out=f_t)  # f_t no longer needed
-            if modulation is not None:
-                factor = modulation.factor_array(floor_t)
-                factor *= prm["weights"]
-                factor += 1.0
-                delay *= factor
-            noise[k].take(p, out=b["z"])
-            delay += b["z"]
+    # The token state matters only for the output's first value, which
+    # the first two waves settle.
+    state = packed("initial_state").astype(np.int8)
+    first_values = np.empty(ring_count, dtype=np.int8)
+    for phase, p in enumerate(pos):
+        state.put(p, state.take(pred.take(p)))
+        recorded = out_parity == phase
+        first_values[recorded] = state.take(out_global[recorded])
 
-            np.add(mean_t, delay, out=fire_time)
+    for wave in range(total_waves):
+        phase = wave & 1
+        k = wave >> 1
+        (
+            pre,
+            suc,
+            offsets,
+            charlie,
+            static_d,
+            weights,
+            draft_amp,
+            draft_tau,
+            amp_positive,
+            phase_noise,
+            rec,
+            edges,
+            guard,
+            (f_t, r_t, mean_t, shifted, delay, tmp),
+        ) = phases[phase]
+        other = times[phase ^ 1]
+        fire_time = fire_bufs[phase]
+
+        other.take(pre, out=f_t)
+        other.take(suc, out=r_t)
+        np.add(f_t, r_t, out=mean_t)
+        mean_t *= 0.5
+        np.subtract(f_t, r_t, out=shifted)
+        shifted *= 0.5
+        shifted -= offsets
+        np.hypot(charlie, shifted, out=delay)
+        delay += static_d
+        if drafting_active:
+            np.add(mean_t, delay, out=tmp)
+            tmp -= times[phase]  # elapsed since this stage last fired
+            draft_mask = tmp > 0.0
+            draft_mask &= amp_positive
+            np.maximum(tmp, 0.0, out=tmp)
+            np.negative(tmp, out=tmp)
+            tmp /= draft_tau
+            np.exp(tmp, out=tmp)
+            tmp *= draft_amp
+            tmp *= draft_mask
+            delay -= tmp
+        floor_t = np.maximum(f_t, r_t, out=f_t)  # f_t no longer needed
+        if modulation is not None:
+            factor = modulation.factor_array(floor_t)
+            factor *= weights
+            factor += 1.0
+            delay *= factor
+        delay += phase_noise[k]
+
+        np.add(mean_t, delay, out=fire_time)
+        np.less_equal(fire_time, floor_t, out=guard)
+        if guard.any():
             np.add(floor_t, _CAUSALITY_GUARD_PS, out=tmp)
-            np.copyto(fire_time, tmp, where=fire_time <= floor_t)
+            np.copyto(fire_time, tmp, where=guard)
 
-            state.put(p, state.take(pre[phase]))
-            last_time.put(p, fire_time)
-            total_events += p.size
+        # The firing times become the phase's time vector; the old
+        # vector is the phase's next fire buffer.
+        times[phase], fire_bufs[phase] = fire_time, times[phase]
+        if rec.size:
+            fire_time.take(rec, out=edges[k])
 
-            rec = out_pos[phase]
-            if rec.size:
-                edges_t[k, out_rings[phase]] = last_time.take(rec)
-                if k == 0:
-                    first_values[out_rings[phase]] = state.take(rec)
-
-        tele.set("events", total_events)
-        tele.set("waves", total_waves)
-        registry = default_registry()
-        registry.counter("repro.batch.simulations").inc()
-        registry.counter("repro.batch.rings").inc(ring_count)
-        registry.counter("repro.batch.events").inc(total_events)
-        registry.counter("repro.batch.waves").inc(total_waves)
-
+    total_events = int(
+        ((total_waves + 1) // 2) * pos[0].size + (total_waves // 2) * pos[1].size
+    )
+    columns = np.empty(ring_count, dtype=np.intp)
+    for phase in (0, 1):
+        recorded = out_parity == phase
+        columns[recorded] = np.arange(np.count_nonzero(recorded))
     traces = [
         EdgeTrace(
-            edges_t[: edge_counts[row], row].copy(),
-            first_value=int(first_values[row]) if first_values[row] >= 0 else 1,
+            phase_edges[out_parity[row]][: edge_counts[row], columns[row]].copy(),
+            first_value=int(first_values[row]),
         )
         for row in range(ring_count)
     ]
     return BatchSimulationResult(
-        traces=traces, events_processed=total_events, waves=total_waves
+        traces=traces,
+        events_processed=total_events,
+        waves=total_waves,
+        ring_events=tuple(int(v) for v in ring_waves * (lengths // 2)),
     )
 
 
@@ -689,102 +766,93 @@ def _simulate_str_waves(
 
     total_events = 0
     waves = 0
-    with span("batch_simulate", family="str", rings=ring_count) as tele:
-        # The loop body works on whole (ring, stage) planes: the enabled
-        # mask routes updates through masked np.copyto instead of
-        # fancy-indexed scatter, keeping every op a contiguous vector pass
-        # into preallocated buffers.
-        while not done.all():
-            s_pred = state.take(flat_pred)
-            enabled = state != s_pred
-            enabled &= state.take(flat_succ) == state
-            enabled &= active
-            fired = int(np.count_nonzero(enabled))
-            if fired == 0:
-                stuck = np.nonzero(~done)[0]
-                labels = ", ".join(
-                    f"{specs[row].name}[{row}] after {int(filled[row])} edges "
-                    f"(wanted {int(edge_counts[row])}; state "
-                    f"{''.join(str(int(v)) for v in state[row, : specs[row].stage_count])})"
-                    for row in stuck[:4]
-                )
-                raise RuntimeError(f"STR batch deadlocked: {labels}")
+    # The loop body works on whole (ring, stage) planes: the enabled
+    # mask routes updates through masked np.copyto instead of
+    # fancy-indexed scatter, keeping every op a contiguous vector pass
+    # into preallocated buffers.
+    while not done.all():
+        s_pred = state.take(flat_pred)
+        enabled = state != s_pred
+        enabled &= state.take(flat_succ) == state
+        enabled &= active
+        fired = int(np.count_nonzero(enabled))
+        if fired == 0:
+            stuck = np.nonzero(~done)[0]
+            labels = ", ".join(
+                f"{specs[row].name}[{row}] after {int(filled[row])} edges "
+                f"(wanted {int(edge_counts[row])}; state "
+                f"{''.join(str(int(v)) for v in state[row, : specs[row].stage_count])})"
+                for row in stuck[:4]
+            )
+            raise RuntimeError(f"STR batch deadlocked: {labels}")
 
-            last_time.take(flat_pred, out=f_t)
-            last_time.take(flat_succ, out=r_t)
-            np.add(f_t, r_t, out=mean_t)
-            mean_t *= 0.5
-            np.subtract(f_t, r_t, out=shifted)
-            shifted *= 0.5
-            shifted -= offsets
-            np.hypot(charlie, shifted, out=delay)
-            delay += static_d
-            if drafting_active:
-                np.add(mean_t, delay, out=tmp)
-                tmp -= last_time  # elapsed since this stage last fired
-                draft_mask = tmp > 0.0
-                draft_mask &= amp_positive
-                np.maximum(tmp, 0.0, out=tmp)
-                np.negative(tmp, out=tmp)
-                tmp /= draft_tau
-                np.exp(tmp, out=tmp)
-                tmp *= draft_amp
-                tmp *= draft_mask  # zero the reduction where inactive
-                delay -= tmp
-            np.maximum(f_t, r_t, out=floor_t)
-            if modulation is not None:
-                # The event engine samples the modulation at schedule time,
-                # which is always max(t_f, t_r) — available vectorized.
-                factor = modulation.factor_array(floor_t)
-                factor *= weights
-                factor += 1.0
-                delay *= factor
+        last_time.take(flat_pred, out=f_t)
+        last_time.take(flat_succ, out=r_t)
+        np.add(f_t, r_t, out=mean_t)
+        mean_t *= 0.5
+        np.subtract(f_t, r_t, out=shifted)
+        shifted *= 0.5
+        shifted -= offsets
+        np.hypot(charlie, shifted, out=delay)
+        delay += static_d
+        if drafting_active:
+            np.add(mean_t, delay, out=tmp)
+            tmp -= last_time  # elapsed since this stage last fired
+            draft_mask = tmp > 0.0
+            draft_mask &= amp_positive
+            np.maximum(tmp, 0.0, out=tmp)
+            np.negative(tmp, out=tmp)
+            tmp /= draft_tau
+            np.exp(tmp, out=tmp)
+            tmp *= draft_amp
+            tmp *= draft_mask  # zero the reduction where inactive
+            delay -= tmp
+        np.maximum(f_t, r_t, out=floor_t)
+        if modulation is not None:
+            # The event engine samples the modulation at schedule time,
+            # which is always max(t_f, t_r) — available vectorized.
+            factor = modulation.factor_array(floor_t)
+            factor *= weights
+            factor += 1.0
+            delay *= factor
+        if count_bound >= budget:
+            count_bound = int(fire_count.max())
             if count_bound >= budget:
-                count_bound = int(fire_count.max())
-                if count_bound >= budget:
-                    noise = _grow_noise(noise, specs, max_stages)
-                    budget = noise.shape[1]
-                    noise_rc = rows[:, np.newaxis] * (
-                        budget * max_stages
-                    ) + cols[np.newaxis, :]
-            np.multiply(fire_count, max_stages, out=nidx)
-            nidx += noise_rc
-            noise.take(nidx, out=z)
-            delay += z
+                noise = _grow_noise(noise, specs, max_stages)
+                budget = noise.shape[1]
+                noise_rc = rows[:, np.newaxis] * (
+                    budget * max_stages
+                ) + cols[np.newaxis, :]
+        np.multiply(fire_count, max_stages, out=nidx)
+        nidx += noise_rc
+        noise.take(nidx, out=z)
+        delay += z
 
-            np.add(mean_t, delay, out=fire_time)
-            np.add(floor_t, _CAUSALITY_GUARD_PS, out=tmp)
-            np.copyto(fire_time, tmp, where=fire_time <= floor_t)
+        np.add(mean_t, delay, out=fire_time)
+        np.add(floor_t, _CAUSALITY_GUARD_PS, out=tmp)
+        np.copyto(fire_time, tmp, where=fire_time <= floor_t)
 
-            np.copyto(state, s_pred, where=enabled)
-            np.copyto(last_time, fire_time, where=enabled)
-            fire_count += enabled
-            count_bound += 1
-            total_events += fired
-            waves += 1
+        np.copyto(state, s_pred, where=enabled)
+        np.copyto(last_time, fire_time, where=enabled)
+        fire_count += enabled
+        count_bound += 1
+        total_events += fired
+        waves += 1
 
-            recording = enabled.take(flat_out)
-            if recording.any():
-                rec_rows = np.flatnonzero(recording)
-                edges[rec_rows, filled[rec_rows]] = last_time[
-                    rec_rows, out_idx[rec_rows]
+        recording = enabled.take(flat_out)
+        if recording.any():
+            rec_rows = np.flatnonzero(recording)
+            edges[rec_rows, filled[rec_rows]] = last_time[
+                rec_rows, out_idx[rec_rows]
+            ]
+            fresh = first_values[rec_rows] < 0
+            if fresh.any():
+                first_values[rec_rows[fresh]] = state[
+                    rec_rows[fresh], out_idx[rec_rows[fresh]]
                 ]
-                fresh = first_values[rec_rows] < 0
-                if fresh.any():
-                    first_values[rec_rows[fresh]] = state[
-                        rec_rows[fresh], out_idx[rec_rows[fresh]]
-                    ]
-                filled[rec_rows] += 1
-                done = filled >= edge_counts
-                active = ~done[:, np.newaxis]
-
-        tele.set("events", total_events)
-        tele.set("waves", waves)
-        registry = default_registry()
-        registry.counter("repro.batch.simulations").inc()
-        registry.counter("repro.batch.rings").inc(ring_count)
-        registry.counter("repro.batch.events").inc(total_events)
-        registry.counter("repro.batch.waves").inc(waves)
+            filled[rec_rows] += 1
+            done = filled >= edge_counts
+            active = ~done[:, np.newaxis]
 
     traces = [
         EdgeTrace(
@@ -794,7 +862,10 @@ def _simulate_str_waves(
         for row in range(ring_count)
     ]
     return BatchSimulationResult(
-        traces=traces, events_processed=total_events, waves=waves
+        traces=traces,
+        events_processed=total_events,
+        waves=waves,
+        ring_events=tuple(int(v) for v in fire_count.sum(axis=1)),
     )
 
 

@@ -5,6 +5,8 @@ benchmark harness; here they run shrunk so the whole suite stays quick,
 and only their structural checks are asserted.
 """
 
+import hashlib
+
 import pytest
 
 from repro.experiments import EXPERIMENT_IDS, get_experiment, run_experiment
@@ -183,6 +185,26 @@ class TestShrunkExperiments:
         max_rows = [row for row in result.rows if row[1] == "1.00"]
         assert len(max_rows) == 5
         assert all(row[2] == "yes" for row in max_rows)
+
+
+class TestPinnedRows:
+    """Rows of the experiments that run their rings through one
+    ``simulate_many`` call, pinned by the SHA-256 of their JSON as they
+    were when each ring ran on its own kernel call."""
+
+    @pytest.mark.parametrize(
+        "experiment_id, digest",
+        [
+            ("SEC5A", "997457d6606b7eccc49dc82b7cb07166a16c26b3183acb04b1b832b95557967a"),
+            ("FIG9", "cb00fdcf29269a9a65445d9023de416d4c59f3991708bbad679fc49c3dbc05dc"),
+            ("EXT5", "253126289d4488608c8192ebe98293f61d4c053a4d51a05e03a48181388419b3"),
+            ("ABL1", "10ba4a985e03edbb0e365acedc407ab66003c5def5a37bac60510aa0a0016933"),
+        ],
+    )
+    def test_default_rows_unchanged(self, experiment_id, digest):
+        result = run_experiment(experiment_id)
+        assert result.all_checks_pass, result.failed_checks
+        assert hashlib.sha256(result.to_json().encode()).hexdigest() == digest
 
 
 class TestSerialization:

@@ -19,6 +19,7 @@ from repro.core.charlie import CharlieDiagram, CharlieParameters
 from repro.experiments import fig09_histograms, fig10_method
 from repro.fpga.board import BoardBank
 from repro.measurement.counters import RippleDivider
+from repro.rings.base import simulate_many
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
 from repro.simulation.noise import ConstantModulation, SinusoidalModulation
@@ -103,6 +104,57 @@ class TestRingSimulateBackend:
             ring_factory().simulate(8, seed=0, backend="gpu")
 
 
+class TestSimulateMany:
+    def _rings(self):
+        return [make_str(8, sigma=2.0), make_iro(5), make_str(16, sigma=2.0), make_iro(3)]
+
+    def test_each_result_is_the_ring_run_alone(self):
+        rings = self._rings()
+        counts = [40, 24, 32, 16]
+        seeds = [3, 4, 5, 6]
+        many = simulate_many(rings, counts, seeds, warmup_periods=4)
+        for ring, count, seed, result in zip(rings, counts, seeds, many):
+            alone = ring.simulate(count, seed=seed, warmup_periods=4)
+            np.testing.assert_array_equal(
+                result.warmup_trace.times_ps, alone.warmup_trace.times_ps
+            )
+            np.testing.assert_array_equal(result.trace.times_ps, alone.trace.times_ps)
+            assert result.events_processed == alone.events_processed
+
+    def test_one_kernel_call_per_family(self):
+        simulate_many(self._rings(), 16, [0, 1, 2, 3])
+        assert default_registry().counter("repro.batch.simulations").value == 2
+
+    def test_iro_ripple_falls_back_per_ring(self):
+        rings = self._rings()
+        ripple = SinusoidalModulation(0.05, 5000.0)
+        sink = MemorySink()
+        with use_sink(sink):
+            many = simulate_many(rings, 12, [0, 1, 2, 3], warmup_periods=2, modulation=ripple)
+        registry = default_registry()
+        assert registry.counter("repro.batch.fallbacks").value == 2
+        assert registry.counter("repro.batch.simulations").value == 1  # the STRs
+        backends = sorted(
+            (record["attrs"]["backend"], record["attrs"].get("rejected_modulation"))
+            for record in _simulate_spans(sink)
+        )
+        assert backends == [
+            ("batch", None),
+            ("event", "SinusoidalModulation"),
+            ("event", "SinusoidalModulation"),
+        ]
+        iro_event = rings[1].simulate(
+            12, seed=1, modulation=ripple, warmup_periods=2, backend="event"
+        )
+        np.testing.assert_array_equal(many[1].trace.times_ps, iro_event.trace.times_ps)
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="one period count and one seed per ring"):
+            simulate_many(self._rings(), [8, 8], [0, 1, 2, 3])
+        with pytest.raises(ValueError, match="period_count"):
+            simulate_many(self._rings(), 0, [0, 1, 2, 3])
+
+
 class TestJitterVersusLengthBackend:
     def test_iro_batch_rows_bit_identical(self, board):
         lengths = (3, 5, 9)
@@ -169,6 +221,19 @@ class TestCampaignBackend:
         assert batch_row.nominal_frequency_mhz == event_row.nominal_frequency_mhz
         assert batch_row.period_jitter_ps == pytest.approx(
             event_row.period_jitter_ps, rel=0.35
+        )
+
+    def test_batch_campaign_json_pinned(self, bank):
+        # Recorded when each family ran in its own hand-built kernel call.
+        specs = [
+            RingSpec("iro", 5),
+            RingSpec("str", 8),
+            RingSpec("str", 32, 10),
+            RingSpec("str", 7, 4),
+        ]
+        report = run_campaign(specs, bank=bank, jitter_periods=512, seed=3, backend="batch")
+        assert _digest(report.to_json()) == (
+            "04e311ec5981460b897abc60e7fadf7f7a9dd842121e122d624c2c79a8df207a"
         )
 
     def test_invalid_backend_rejected(self, bank):

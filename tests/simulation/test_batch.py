@@ -181,10 +181,9 @@ class TestParityFastPath:
             STRBatchSpec.from_ring(make_str(stages), edge_count=11)
             for stages in (4, 8, 16, 24, 32, 96)
         ]
-        plans = _parity_plan(specs)
-        assert plans is not None
-        assert len(plans) == len(specs)
+        plans = [_parity_plan(spec) for spec in specs]
         for spec, mask in zip(specs, plans):
+            assert mask is not None
             parity = np.arange(spec.stage_count) % 2
             assert np.array_equal(mask, parity == 0) or np.array_equal(
                 mask, parity == 1
@@ -192,7 +191,7 @@ class TestParityFastPath:
 
     def test_odd_stage_count_disqualifies(self):
         spec = STRBatchSpec.from_ring(make_str(7, tokens=4), edge_count=11)
-        assert _parity_plan([spec]) is None
+        assert _parity_plan(spec) is None
 
     def test_clumped_tokens_disqualify(self):
         from repro.rings.tokens import state_from_token_positions
@@ -201,21 +200,53 @@ class TestParityFastPath:
             8, tokens=4, initial_state=state_from_token_positions(8, [0, 1, 2, 3])
         )
         spec = STRBatchSpec.from_ring(ring, edge_count=11)
-        assert _parity_plan([spec]) is None
-
-    def test_one_disqualified_ring_disqualifies_the_batch(self):
-        good = STRBatchSpec.from_ring(make_str(8), edge_count=11)
-        bad = STRBatchSpec.from_ring(make_str(7, tokens=4), edge_count=11)
-        assert _parity_plan([good]) is not None
-        assert _parity_plan([good, bad]) is None
+        assert _parity_plan(spec) is None
 
     @pytest.mark.parametrize("sigma", [0.0, 2.0])
+    def test_mixed_batch_matches_each_ring_run_alone(self, sigma):
+        # Balanced rings take the parity kernel, the NT-detuned and the
+        # odd ring the general one, all in one call.
+        rings = [
+            make_str(8, sigma=sigma),
+            make_str(32, tokens=10, sigma=sigma),
+            make_str(16, sigma=sigma),
+            make_str(7, tokens=4, sigma=sigma),
+            make_str(96, sigma=sigma),
+        ]
+        specs = [
+            STRBatchSpec.from_ring(ring, edge_count=25 + 6 * row, seed=row + 3)
+            for row, ring in enumerate(rings)
+        ]
+        plannable = [_parity_plan(spec) is not None for spec in specs]
+        assert plannable == [True, False, True, False, True]
+        mixed = simulate_str_batch(specs)
+        for spec, trace, events in zip(specs, mixed.traces, mixed.ring_events):
+            alone = simulate_str_batch([spec])
+            np.testing.assert_array_equal(trace.times_ps, alone.traces[0].times_ps)
+            assert trace.first_value == alone.traces[0].first_value
+            assert events == alone.ring_events[0] == alone.events_processed
+        if sigma == 0.0:
+            odd = mixed.traces[3]
+            np.testing.assert_array_equal(
+                odd.times_ps, event_trace(rings[3], specs[3].edge_count, seed=specs[3].seed)
+            )
+
+    def test_mixed_batch_is_one_kernel_call(self):
+        specs = [
+            STRBatchSpec.from_ring(make_str(stages, tokens=tokens), edge_count=11)
+            for stages, tokens in ((8, 4), (7, 4))
+        ]
+        simulate_str_batch(specs)
+        assert default_registry().counter("repro.batch.simulations").value == 1
+
+    # sigma = 400 ps drives delays below zero, so the causality guard fires.
+    @pytest.mark.parametrize("sigma", [0.0, 2.0, 400.0])
     def test_parity_and_general_kernels_bit_identical(self, sigma):
         specs = [
             STRBatchSpec.from_ring(make_str(stages, sigma=sigma), edge_count=31, seed=7)
             for stages in (8, 16, 24)
         ]
-        assert _parity_plan(specs) is not None
+        assert all(_parity_plan(spec) is not None for spec in specs)
         fast = simulate_str_batch(specs)
         slow = _simulate_str_waves(specs, None)
         for fast_trace, slow_trace in zip(fast.traces, slow.traces):
@@ -225,7 +256,7 @@ class TestParityFastPath:
     def test_general_kernel_matches_event_engine_for_odd_ring(self):
         ring = make_str(7, tokens=4, sigma=0.0)
         spec = STRBatchSpec.from_ring(ring, edge_count=31, seed=1)
-        assert _parity_plan([spec]) is None
+        assert _parity_plan(spec) is None
         batch = simulate_str_batch([spec])
         expected = event_trace(ring, 31, seed=1)
         np.testing.assert_array_equal(batch.traces[0].times_ps, expected)

@@ -769,6 +769,19 @@ class TestShardingCli:
         assert "--no-cache" in err and "--backend" in err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize(
+        "flags", [["--no-cache"], ["--bundle-dir", "bundles"], ["--no-cache", "--bundle-dir", "b"]]
+    )
+    def test_verify_shard_refuses_unused_flags(self, capsys, tmp_path, flags):
+        shard = ["--shard", "0/1", "--shard-dir", str(tmp_path / "s")]
+        argv = ["verify", "--claims", "PUF-UNIQ", "--seeds", "1"] + flags + shard
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        for flag in flags:
+            if flag.startswith("--"):
+                assert flag in err
+        assert not (tmp_path / "s").exists()
+
     def test_merge_missing_shard(self, capsys, tmp_path):
         assert main(self.CAMPAIGN + ["--shard", "0/2", "--shard-dir", str(tmp_path / "s0")]) == 0
         capsys.readouterr()
