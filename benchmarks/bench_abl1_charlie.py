@@ -8,4 +8,4 @@ from conftest import run_reproduction
 
 
 def bench_abl1(benchmark):
-    run_reproduction(benchmark, "ABL1")
+    run_reproduction(benchmark, "ABL1", rounds=3, warmup_rounds=1)

@@ -8,4 +8,4 @@ from conftest import run_reproduction
 
 
 def bench_abl4(benchmark):
-    run_reproduction(benchmark, "ABL4")
+    run_reproduction(benchmark, "ABL4", rounds=5, warmup_rounds=1)

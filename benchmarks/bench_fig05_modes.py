@@ -7,5 +7,5 @@ reproduced rows next to the published reference values.
 from conftest import run_reproduction
 
 
-def bench_fig5(benchmark):
-    run_reproduction(benchmark, "FIG5")
+def bench_fig05(benchmark):
+    run_reproduction(benchmark, "FIG5", rounds=5, warmup_rounds=1)

@@ -9,7 +9,7 @@ prints the logical token walk of Fig. 4.
 """
 
 from repro.core.charlie import CharlieDiagram, CharlieParameters, DraftingEffect
-from repro.rings.modes import burstiness_profile, classify_trace
+from repro.rings.modes import classify_trace
 from repro.rings.str_ring import SelfTimedRing
 from repro.rings.tokens import (
     cluster_tokens,
@@ -50,7 +50,12 @@ def run_mode(label: str, charlie_ps: float, drafting: DraftingEffect) -> None:
     )
     result = ring.simulate(256, seed=7, warmup_periods=64)
     classification = classify_trace(result.trace)
-    profile = burstiness_profile(result.trace, TOKENS)
+    # Fold the interval sequence modulo the token count: an evenly-spaced
+    # ring gives a flat profile, a burst ring a strongly peaked one.
+    intervals = result.trace.half_periods_ps()
+    usable = (intervals.size // TOKENS) * TOKENS
+    profile = intervals[:usable].reshape(-1, TOKENS).mean(axis=0)
+    profile = profile / profile.mean()
     print(f"--- {label} ---")
     print(
         f"mode = {classification.mode.value}, interval CV = "

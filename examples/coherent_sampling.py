@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 
 from repro import BoardBank, SelfTimedRing
-from repro.reporting.ascii_plot import plot_series
+from repro.reporting.ascii_plot import AsciiPlot
 from repro.stats.entropy import bias, markov_entropy_per_bit
 from repro.stats.randomness import run_battery
 from repro.trng.coherent import CoherentSamplingTrng
@@ -74,16 +74,15 @@ def main() -> None:
     histogram, edges = np.histogram(counts, bins=24)
     centers = 0.5 * (edges[:-1] + edges[1:])
     print()
-    print(
-        plot_series(
-            {"count histogram": (centers, histogram)},
-            title="coherent-sampling counter distribution",
-            x_label="counter value",
-            y_label="occurrences",
-            width=56,
-            height=12,
-        )
+    plot = AsciiPlot(
+        width=56,
+        height=12,
+        title="coherent-sampling counter distribution",
+        x_label="counter value",
+        y_label="occurrences",
     )
+    plot.add_series("count histogram", centers, histogram)
+    print(plot.render())
     print()
 
     bits = trng.generate(2000, seed=5)

@@ -11,14 +11,13 @@ this example walks that design:
    so this is below the single-period sigma);
 3. provision an elementary and a multi-phase sampler for the same
    entropy target and compare throughput (the L^2 factor);
-4. generate bits, run the statistical battery and the online health
-   tests, and dump a VCD of the phase comb for a waveform viewer.
+4. generate bits and run the statistical battery and the online health
+   tests.
 """
 
 import numpy as np
 
 from repro import Board, SelfTimedRing
-from repro.simulation.vcd import dump_ring_phases
 from repro.stats.entropy import bias, markov_entropy_per_bit
 from repro.stats.randomness import run_battery
 from repro.trng.health import HealthMonitor
@@ -95,11 +94,6 @@ def main() -> None:
         f"{'clean (balanced periodic pattern!)' if stuck_healthy else 'alarm'}, "
         f"battery {'PASS' if stuck_battery.all_passed else 'FAIL: ' + str(stuck_battery.failed_tests)}"
     )
-
-    # 5. waveforms for a viewer.
-    path = "str_phases.vcd"
-    changes = dump_ring_phases(path, ring.simulate_phases(12, seed=4, warmup_periods=64))
-    print(f"wrote {changes} value changes to {path} (open with GTKWave)")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ The workflow a designer follows once the entropy source is characterized:
    at the picosecond scale;
 2. provision the sampling (reference) clock so the accumulated jitter
    reaches a target quality factor Q;
-3. generate bits, check them with the randomness battery;
-4. compare the raw stream against a von Neumann-corrected one.
+3. generate bits, check them with the randomness battery and a
+   min-entropy assessment.
 
 The same flow runs for the IRO for contrast: the STR reaches a given Q
 with a *length-independent* jitter budget, which is the paper's point —
@@ -23,7 +23,6 @@ from repro.stats.entropy import bias, markov_entropy_per_bit
 from repro.stats.randomness import run_battery
 from repro.trng.assessment import assess_min_entropy
 from repro.trng.phasewalk import PhaseWalkTrng, reference_period_for_q
-from repro.trng.postprocessing import von_neumann
 
 TARGET_Q = 0.2
 BITS = 30_000
@@ -64,13 +63,6 @@ def design_and_run(ring, seed: int) -> None:
     print(
         f"90B-style min-entropy: {assessment.min_entropy:.3f} bit/bit "
         f"(limited by {assessment.limiting_estimator})"
-    )
-
-    # Step 4: post-process.
-    corrected = von_neumann(bits)
-    print(
-        f"von Neumann: {corrected.size} bits kept "
-        f"({corrected.size / bits.size:.0%}), bias = {bias(corrected):+.4f}"
     )
     print()
 

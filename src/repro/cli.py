@@ -200,6 +200,17 @@ def _refuse_flags(flags: List[str], reason: str) -> int:
     return 2
 
 
+def _refuse_unknown_ids(ids: List[str]) -> Optional[int]:
+    """Report the first unknown experiment id (exit status 2), else ``None``."""
+    for experiment_id in ids:
+        try:
+            get_experiment(experiment_id)
+        except KeyError as error:
+            print(error.args[0], file=sys.stderr)
+            return 2
+    return None
+
+
 def _command_run(args: argparse.Namespace) -> int:
     sharding = _parse_shard(args)
     if sharding is not None:
@@ -222,6 +233,9 @@ def _command_run(args: argparse.Namespace) -> int:
         jobs = args.jobs if args.jobs is not None else 1
         return _run_shard("EXT12", ext12_args(), sharding, jobs, args.json)
 
+    refused_ids = _refuse_unknown_ids(args.ids)
+    if refused_ids is not None:
+        return refused_ids
     try:
         overrides = {
             experiment_id: _run_overrides(experiment_id, args)
@@ -440,6 +454,9 @@ def _command_report_md(args: argparse.Namespace) -> int:
     from repro.reporting.markdown import write_markdown_report
 
     ids = [eid.upper() for eid in args.ids] if args.ids else list(EXPERIMENT_IDS)
+    refused_ids = _refuse_unknown_ids(ids)
+    if refused_ids is not None:
+        return refused_ids
     results = [run_experiment(eid) for eid in ids]
     byte_count = write_markdown_report(args.output, results)
     print(f"wrote {byte_count} bytes to {args.output}")

@@ -209,10 +209,6 @@ class CharlieDiagram:
         shifted = abs(separation_ps - params.separation_offset_ps)
         return math.hypot(params.charlie_ps, shifted) - shifted
 
-    def is_in_linear_region(self, separation_ps: float, tolerance_ps: float = 1.0) -> bool:
-        """True when the Charlie effect contributes under ``tolerance_ps``."""
-        return self.asymptote_gap_ps(separation_ps) < tolerance_ps
-
     # ------------------------------------------------------------------
     # event timing
     # ------------------------------------------------------------------

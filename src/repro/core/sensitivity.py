@@ -2,8 +2,10 @@
 
 A ring's period is a sum of delay components, each following its own
 supply law ``D_i(V) = D_i0 / (1 + beta_i (V - V0))``.  This module does
-the small algebra the calibration fit and the attack analyses both rest
-on, in one audited place:
+that small algebra in closed form, in one audited place.  No run path
+calls it: it is the oracle that ``tests/core/test_sensitivity.py`` holds
+the device timing model (``StageTiming.supply_weight``) and the Table I
+calibration against.
 
 * :func:`frequency_scale` — the composite frequency vs supply;
 * :func:`normalized_excursion` — the Table I ``delta F`` of a stack;
@@ -100,7 +102,11 @@ def sensitivity_weight(
 
 
 def iro_stage_stack(constants=None) -> List[DelayComponent]:
-    """The calibrated IRO stage (single-LAB): LUT + intra-LAB route."""
+    """The calibrated IRO stage (single-LAB): LUT + intra-LAB route.
+
+    Kept as a test oracle: the tests compare its closed-form sensitivity
+    weight with ``InverterRingOscillator.mean_supply_weight``.
+    """
     from repro.fpga.device import TimingConstants
 
     constants = constants if constants is not None else TimingConstants()
@@ -113,7 +119,12 @@ def iro_stage_stack(constants=None) -> List[DelayComponent]:
 
 
 def str_stage_stack(stage_count: int, calibration=None) -> List[DelayComponent]:
-    """The calibrated balanced-STR stage: LUT + mean route + Charlie penalty."""
+    """The calibrated balanced-STR stage: LUT + mean route + Charlie penalty.
+
+    Kept as a test oracle: the tests compare its closed-form sensitivity
+    weight with ``SelfTimedRing.mean_supply_weight`` and its excursion
+    with Table I.
+    """
     from repro.fpga.calibration import cyclone_iii_calibration, mean_route_delay_ps
 
     calibration = calibration if calibration is not None else cyclone_iii_calibration()

@@ -98,11 +98,6 @@ class SteadyState:
         return period_ps_to_mhz(self.period_ps)
 
     @property
-    def revolution_time_ps(self) -> float:
-        """Time for one token to travel all around the ring."""
-        return self.stage_count * self.hop_delay_ps
-
-    @property
     def regulation_margin(self) -> float:
         """``1 - |slope|``: 1 means maximal Charlie regulation, 0 none."""
         return 1.0 - abs(self.charlie_slope)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.simulation.noise import CompositeModulation, DeterministicModulation
 
@@ -91,18 +91,6 @@ class FaultEffect:
             )
         if self.upset_value not in (0, 1):
             raise ValueError(f"upset value must be 0 or 1, got {self.upset_value}")
-
-    @property
-    def is_nominal(self) -> bool:
-        """True when the effect leaves the operating point untouched."""
-        return (
-            self.supply_v is None
-            and self.temperature_c is None
-            and self.modulation is None
-            and self.injection_strength == 0.0
-            and self.upset_fraction == 0.0
-            and not self.oscillation_dead
-        )
 
     def merged(self, other: "FaultEffect") -> "FaultEffect":
         """Combine two simultaneous effects into one.
@@ -215,10 +203,6 @@ class FaultSchedule(FaultScenario):
     @property
     def entries(self) -> Tuple[ScheduledFault, ...]:
         return self._entries
-
-    def active_faults(self, time_s: float) -> List[FaultScenario]:
-        """The faults whose windows cover ``time_s``, in schedule order."""
-        return [e.fault for e in self._entries if e.active_at(time_s)]
 
     def effect_at(self, elapsed_s: float) -> FaultEffect:
         effect = NOMINAL_EFFECT

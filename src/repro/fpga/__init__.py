@@ -30,7 +30,6 @@ from repro.fpga.floorplan import (
     place_on_grid,
     routed_stage_delays,
 )
-from repro.fpga.netlist import Bitstream, Netlist, iro_netlist, str_netlist
 from repro.fpga.calibration import (
     ConfinementModel,
     CalibratedTiming,
@@ -59,10 +58,6 @@ __all__ = [
     "PlacementStrategy",
     "place_on_grid",
     "routed_stage_delays",
-    "Bitstream",
-    "Netlist",
-    "iro_netlist",
-    "str_netlist",
     "ConfinementModel",
     "CalibratedTiming",
     "cyclone_iii_calibration",

@@ -141,10 +141,6 @@ class ConfinementModel:
         self._penalties = penalties_arr
         self._betas = betas_arr
 
-    @property
-    def anchor_lengths(self) -> np.ndarray:
-        return self._lengths.copy()
-
     def penalty_ps(self, stage_count: int) -> float:
         """Charlie penalty (``Dcharlie`` at balance) for an ``L``-stage STR."""
         if stage_count < 3:

@@ -22,9 +22,7 @@ per-LUT local mismatch factor.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional
 
 from repro.fpga.placement import Placement, RoutingClass
 from repro.fpga.process import DeviceVariation
@@ -104,11 +102,6 @@ class StageTiming:
     @property
     def static_delay_ps(self) -> float:
         return self.lut_delay_ps + self.routing_delay_ps
-
-    @property
-    def effective_delay_ps(self) -> float:
-        """Static delay plus the full Charlie penalty (s = 0 operating point)."""
-        return self.static_delay_ps + self.charlie_ps
 
 
 class DeviceTimingModel:
@@ -222,14 +215,3 @@ class DeviceTimingModel:
                 )
             )
         return timings
-
-    # ------------------------------------------------------------------
-    # aggregates used by the analytic fast paths
-    # ------------------------------------------------------------------
-    def mean_stage_delay_ps(self, timings: Sequence[StageTiming]) -> float:
-        """Mean static stage delay over a resolved ring."""
-        return float(np.mean([timing.static_delay_ps for timing in timings]))
-
-    def mean_effective_delay_ps(self, timings: Sequence[StageTiming]) -> float:
-        """Mean static + Charlie delay over a resolved ring."""
-        return float(np.mean([timing.effective_delay_ps for timing in timings]))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 from typing import Tuple
 
 
@@ -60,14 +59,6 @@ class Placement:
     def lab_count(self) -> int:
         return len(set(self.lab_indices))
 
-    @property
-    def inter_lab_hop_count(self) -> int:
-        return sum(1 for hop in self.hop_classes if hop is RoutingClass.INTER_LAB)
-
-    def is_single_lab(self) -> bool:
-        """True when the whole ring fits in one LAB (the paper's ideal)."""
-        return self.lab_count == 1
-
 
 def place_ring(stage_count: int, lab_capacity: int = 16, first_lut: int = 0) -> Placement:
     """Place a ring using the paper's sequential same-LAB-first policy.
@@ -103,10 +94,3 @@ def place_ring(stage_count: int, lab_capacity: int = 16, first_lut: int = 0) -> 
         lab_indices=lab_indices,
         hop_classes=tuple(hop_classes),
     )
-
-
-def lab_span(stage_count: int, lab_capacity: int = 16) -> int:
-    """Number of LABs a sequentially placed ring occupies."""
-    if stage_count < 1:
-        raise ValueError(f"stage count must be positive, got {stage_count}")
-    return math.ceil(stage_count / lab_capacity)

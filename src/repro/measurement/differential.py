@@ -35,7 +35,7 @@ method's full-swing exposure.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -251,10 +251,3 @@ def measure_pair(
         true_sigma_a_ps=float(pair.ring_a.predicted_period_jitter_ps()),
         true_sigma_b_ps=float(pair.ring_b.predicted_period_jitter_ps()),
     )
-
-
-def bias_pair(
-    reading: DifferentialJitterReading,
-) -> Tuple[float, float]:
-    """(differential bias, counter bias) of one reading — plot-ready."""
-    return reading.differential_bias, reading.counter_bias

@@ -37,16 +37,6 @@ class DirectJitterReading:
     period_count: int
     timestamp_noise_ps: float
 
-    @property
-    def noise_floor_ps(self) -> float:
-        """Scope contribution to the reading (two time stamps per period)."""
-        return float(np.sqrt(2.0) * self.timestamp_noise_ps)
-
-    @property
-    def is_noise_limited(self) -> bool:
-        """True when the reading mostly reflects the scope, not the ring."""
-        return self.sigma_period_ps < 2.0 * self.noise_floor_ps
-
 
 @dataclasses.dataclass(frozen=True)
 class DividerJitterReading:

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.simulation.noise import SeedLike, make_rng
 from repro.simulation.waveform import EdgeTrace
-from repro.units import PS_PER_NS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,11 +62,6 @@ class OscilloscopeSpec:
         return float(np.hypot(quantization_rms, self.trigger_noise_ps))
 
     @classmethod
-    def wavepro_735zi(cls) -> "OscilloscopeSpec":
-        """The paper's instrument."""
-        return cls()
-
-    @classmethod
     def ideal(cls) -> "OscilloscopeSpec":
         """An error-free instrument (for validating the pipeline)."""
         return cls(
@@ -78,7 +72,7 @@ class OscilloscopeSpec:
 
 
 class Oscilloscope:
-    """Acquires edge traces and computes the scope's statistical readouts."""
+    """Acquires edge traces through the scope front end (grid and trigger noise)."""
 
     def __init__(self, spec: OscilloscopeSpec = OscilloscopeSpec(), seed: SeedLike = None) -> None:
         self._spec = spec
@@ -88,9 +82,6 @@ class Oscilloscope:
     def spec(self) -> OscilloscopeSpec:
         return self._spec
 
-    # ------------------------------------------------------------------
-    # acquisition
-    # ------------------------------------------------------------------
     def acquire(self, trace: EdgeTrace) -> EdgeTrace:
         """Time-stamp a physical edge trace through the scope front end.
 
@@ -115,73 +106,3 @@ class Oscilloscope:
                 f"onto the {grid} ps acquisition grid"
             )
         return EdgeTrace(times, first_value=trace.first_value)
-
-    # ------------------------------------------------------------------
-    # statistical readouts (the scope's "measure" menu)
-    # ------------------------------------------------------------------
-    def period_population_ps(self, trace: EdgeTrace) -> np.ndarray:
-        """Acquire and return the measured period population."""
-        return self.acquire(trace).periods_ps()
-
-    def measure_frequency_mhz(self, trace: EdgeTrace) -> float:
-        """Mean frequency readout."""
-        return self.acquire(trace).mean_frequency_mhz()
-
-    def measure_period_jitter_ps(self, trace: EdgeTrace) -> float:
-        """Direct sigma_period readout — biased for ps-level jitter."""
-        return self.acquire(trace).period_jitter_ps()
-
-    def measure_cycle_to_cycle_jitter_ps(self, trace: EdgeTrace) -> float:
-        """Direct cycle-to-cycle jitter readout."""
-        return self.acquire(trace).cycle_to_cycle_jitter_ps()
-
-    def period_histogram(
-        self, trace: EdgeTrace, bin_width_ps: float = 1.0
-    ) -> "PeriodHistogram":
-        """The scope's period-jitter histogram tool (Fig. 9)."""
-        periods = self.period_population_ps(trace)
-        return PeriodHistogram.from_periods(periods, bin_width_ps)
-
-
-@dataclasses.dataclass(frozen=True)
-class PeriodHistogram:
-    """Histogram of a period population, as a scope would display it."""
-
-    bin_edges_ps: np.ndarray
-    counts: np.ndarray
-    mean_ps: float
-    sigma_ps: float
-
-    @classmethod
-    def from_periods(cls, periods_ps: np.ndarray, bin_width_ps: float) -> "PeriodHistogram":
-        periods = np.asarray(periods_ps, dtype=float)
-        if periods.size < 2:
-            raise ValueError("need at least two periods to build a histogram")
-        if bin_width_ps <= 0.0:
-            raise ValueError(f"bin width must be positive, got {bin_width_ps}")
-        low = np.floor(periods.min() / bin_width_ps) * bin_width_ps
-        high = np.ceil(periods.max() / bin_width_ps) * bin_width_ps
-        if high <= low:
-            high = low + bin_width_ps
-        edges = np.arange(low, high + 0.5 * bin_width_ps, bin_width_ps)
-        counts, edges = np.histogram(periods, bins=edges)
-        return cls(
-            bin_edges_ps=edges,
-            counts=counts,
-            mean_ps=float(np.mean(periods)),
-            sigma_ps=float(np.std(periods, ddof=1)),
-        )
-
-    @property
-    def bin_centers_ps(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges_ps[:-1] + self.bin_edges_ps[1:])
-
-    def render_ascii(self, width: int = 50) -> str:
-        """Poor man's scope display, handy in example scripts."""
-        lines = []
-        peak = max(int(self.counts.max()), 1)
-        for center, count in zip(self.bin_centers_ps, self.counts):
-            bar = "#" * int(round(width * count / peak))
-            lines.append(f"{center / PS_PER_NS:9.4f} ns | {bar}")
-        lines.append(f"mean = {self.mean_ps:.1f} ps, sigma = {self.sigma_ps:.2f} ps")
-        return "\n".join(lines)

@@ -47,11 +47,6 @@ class LvdsOutputPath:
         """The paper's measurement path: LVDS + 4 GHz differential probe."""
         return cls(delay_ps=800.0, jitter_sigma_ps=1.0)
 
-    @classmethod
-    def standard_io(cls) -> "LvdsOutputPath":
-        """A slow standard I/O pin — what the paper avoids."""
-        return cls(delay_ps=2500.0, jitter_sigma_ps=12.0)
-
     def transport(self, trace: EdgeTrace, seed: SeedLike = None) -> EdgeTrace:
         """Propagate an edge trace through the output path.
 

@@ -392,15 +392,6 @@ class ChannelDriftMonitor:
             chart.drifted for charts in self._charts.values() for chart in charts
         )
 
-    def drifting_statistics(self) -> List[str]:
-        return sorted(
-            {
-                statistic
-                for statistic, charts in self._charts.items()
-                if any(chart.drifted for chart in charts)
-            }
-        )
-
     def scores(self) -> Dict[str, Dict[str, float]]:
         """Current chart scores, ``{statistic: {detector: score}}``."""
         return {

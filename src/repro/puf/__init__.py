@@ -48,7 +48,6 @@ from repro.puf.topology import (
     TOPOLOGIES,
     derive_response_bits,
     lehmer_digit_widths,
-    ordering_entropy_bits,
     response_bit_count,
     validate_topology,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "TOPOLOGIES",
     "derive_response_bits",
     "lehmer_digit_widths",
-    "ordering_entropy_bits",
     "response_bit_count",
     "validate_topology",
 ]

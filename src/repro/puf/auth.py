@@ -46,13 +46,6 @@ class AuthReport:
     mean_genuine_hd: float
     mean_impostor_hd: float
 
-    def operating_point(self, max_far: float) -> int:
-        """Largest threshold whose FAR stays at or below ``max_far``."""
-        acceptable = np.nonzero(self.far <= max_far)[0]
-        if acceptable.size == 0:
-            raise ValueError(f"no threshold reaches FAR <= {max_far}")
-        return int(acceptable[-1])
-
     def describe(self) -> str:
         return (
             f"{self.genuine_count} genuine / {self.impostor_count} impostor "

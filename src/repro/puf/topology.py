@@ -28,7 +28,6 @@ returns a ``(device, bit)`` uint8 matrix; ties resolve to 0 (strict
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import numpy as np
@@ -116,17 +115,3 @@ def _lehmer_bits(frequencies: np.ndarray, group_size: int) -> np.ndarray:
         )
     bits = np.concatenate(pieces, axis=-1)
     return bits.reshape(device_count, -1)
-
-
-def ordering_entropy_bits(ring_count: int, topology: str, group_size: int = 8) -> float:
-    """Upper bound on the independent bits a topology can extract.
-
-    Any pairwise-comparison scheme observes only the frequency ordering,
-    so ``log2`` of the number of reachable orderings caps the response
-    entropy: ``log2(R!)`` for global orderings, per-group for Lehmer.
-    """
-    validate_topology(ring_count, topology, group_size)
-    if topology == "lehmer":
-        groups = ring_count // group_size
-        return groups * math.log2(math.factorial(group_size))
-    return math.log2(math.factorial(ring_count))

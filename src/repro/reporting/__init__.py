@@ -8,12 +8,11 @@
   ``python -m repro report-md``).
 """
 
-from repro.reporting.ascii_plot import AsciiPlot, plot_series, sparkline
+from repro.reporting.ascii_plot import AsciiPlot, sparkline
 from repro.reporting.markdown import render_markdown_report, write_markdown_report
 
 __all__ = [
     "AsciiPlot",
-    "plot_series",
     "sparkline",
     "render_markdown_report",
     "write_markdown_report",

@@ -8,7 +8,7 @@ log, with no plotting dependency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,18 +149,3 @@ class AsciiPlot:
         )
         lines.append(" " * (label_width + 2) + legend)
         return "\n".join(lines)
-
-
-def plot_series(
-    series: Dict[str, Tuple[Sequence[float], Sequence[float]]],
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    width: int = 64,
-    height: int = 18,
-) -> str:
-    """One-call helper: ``{"name": (x, y), ...}`` to rendered text."""
-    plot = AsciiPlot(width=width, height=height, title=title, x_label=x_label, y_label=y_label)
-    for name, (x, y) in series.items():
-        plot.add_series(name, x, y)
-    return plot.render()

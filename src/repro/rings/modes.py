@@ -100,22 +100,3 @@ def classify_trace(
         even_cv_threshold=even_cv_threshold,
         burst_gap_threshold=burst_gap_threshold,
     )
-
-
-def burstiness_profile(trace: EdgeTrace, tokens_per_revolution: int) -> np.ndarray:
-    """Mean interval per within-revolution slot, normalized to 1.
-
-    Folding the interval sequence modulo the token count exposes the
-    burst structure: an evenly-spaced ring gives a flat profile, a burst
-    ring a strongly peaked one.  Useful for plotting Fig. 5-style
-    comparisons.
-    """
-    if tokens_per_revolution < 1:
-        raise ValueError("tokens_per_revolution must be positive")
-    intervals = trace.half_periods_ps()
-    usable = (intervals.size // tokens_per_revolution) * tokens_per_revolution
-    if usable == 0:
-        raise ValueError("trace too short for one full revolution")
-    folded = intervals[:usable].reshape(-1, tokens_per_revolution)
-    profile = folded.mean(axis=0)
-    return profile / profile.mean()

@@ -223,10 +223,6 @@ class TrngPool:
         }
         self._drift_quarantine = bool(preemptive_quarantine)
 
-    def drift_monitor(self, channel_name: str) -> Optional[Any]:
-        """The attached monitor for ``channel_name`` (None when absent)."""
-        return self._drift_monitors.get(channel_name)
-
     def _drift_observe(self, channel: "PoolChannel", bits: Any, alarm_count: int):
         monitor = self._drift_monitors.get(channel.name)
         if monitor is None:

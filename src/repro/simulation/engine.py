@@ -104,11 +104,6 @@ class Simulator:
         """Number of transitions handled so far."""
         return self._events_processed
 
-    @property
-    def pending_count(self) -> int:
-        """Number of transitions still queued."""
-        return len(self._queue)
-
     def schedule(self, time_ps: float, node: int, value: int) -> Transition:
         """Queue a transition of ``node`` to ``value`` at ``time_ps``.
 

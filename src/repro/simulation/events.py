@@ -9,7 +9,6 @@ delays) lives in the ring models, which act as event *processes*.
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -57,7 +56,3 @@ class Edge:
     def polarity(self) -> int:
         """+1 for a rising edge, -1 for a falling edge."""
         return 1 if self.value else -1
-
-    def as_tuple(self) -> Tuple[float, int, int]:
-        """Return ``(time_ps, node, value)``, handy for array conversion."""
-        return (self.time_ps, self.node, self.value)

@@ -286,8 +286,3 @@ class CompositeModulation(DeterministicModulation):
 
     def __repr__(self) -> str:
         return f"CompositeModulation({self._components!r})"
-
-
-def no_modulation() -> ConstantModulation:
-    """Return the identity modulation (nominal delays everywhere)."""
-    return ConstantModulation(0.0)

@@ -138,15 +138,12 @@ class EdgeTrace:
             raise ValueError("need at least two periods to estimate jitter")
         return float(np.std(periods, ddof=1))
 
-    def cycle_to_cycle_jitter_ps(self) -> float:
-        """Std deviation of the difference between successive periods."""
-        periods = self.periods_ps()
-        if periods.size < 3:
-            raise ValueError("need at least three periods for cycle-to-cycle jitter")
-        return float(np.std(np.diff(periods), ddof=1))
-
     def duty_cycle(self) -> float:
-        """Fraction of time the signal is high, over whole half-periods."""
+        """Fraction of time the signal is high, over whole half-periods.
+
+        No run path reads it; the ring tests use it as the reference for
+        the 50 % duty cycle of simulated IRO and STR outputs.
+        """
         half_periods = self.half_periods_ps()
         if half_periods.size == 0:
             raise ValueError("trace is too short to compute a duty cycle")

@@ -37,15 +37,6 @@ from repro.stats.accumulation import (
     allan_profile,
     allan_variance,
 )
-from repro.stats.spectral import PeriodSpectrum, period_spectrum
-from repro.stats.symbols import (
-    UniformityVerdict,
-    chi_square_uniformity,
-    desymbolize,
-    low_bits,
-    symbol_entropy,
-    symbolize_bits,
-)
 from repro.stats.entropy import (
     shannon_entropy_per_bit,
     min_entropy_per_bit,
@@ -78,14 +69,6 @@ __all__ = [
     "allan_deviation",
     "allan_profile",
     "allan_variance",
-    "PeriodSpectrum",
-    "period_spectrum",
-    "UniformityVerdict",
-    "chi_square_uniformity",
-    "desymbolize",
-    "low_bits",
-    "symbol_entropy",
-    "symbolize_bits",
     "normalized_frequencies",
     "normalized_excursion",
     "relative_standard_deviation",

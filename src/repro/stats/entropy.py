@@ -80,8 +80,3 @@ def markov_entropy_per_bit(bits: Sequence[int]) -> float:
         p_one_given_state = float(np.mean(current[mask]))
         entropy += state_probability * _binary_entropy(p_one_given_state)
     return entropy
-
-
-def entropy_deficiency(bits: Sequence[int]) -> float:
-    """``1 - H_markov`` — a compact "how broken is it" scalar."""
-    return 1.0 - markov_entropy_per_bit(bits)

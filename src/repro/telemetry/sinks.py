@@ -78,9 +78,7 @@ class MemorySink:
 
 
 def _jsonable(value: Any) -> Any:
-    """Last-resort coercion for record values (numpy scalars, paths...)."""
-    if hasattr(value, "item"):
-        return value.item()
+    """Last-resort coercion for record values (numpy scalars and arrays, paths...)."""
     if hasattr(value, "tolist"):
         return value.tolist()
     return str(value)

@@ -92,10 +92,6 @@ class SnapshotWindow:
     def latest(self) -> Optional[MetricsSnapshot]:
         return self._samples[-1][1] if self._samples else None
 
-    @property
-    def latest_t_s(self) -> Optional[float]:
-        return self._samples[-1][0] if self._samples else None
-
     def _baseline(self, window_s: float) -> Optional[Tuple[float, MetricsSnapshot]]:
         """The oldest sample no older than ``window_s`` before the newest.
 

@@ -12,7 +12,6 @@ subpackage is the downstream consumer that makes the comparison concrete:
 * :mod:`repro.trng.coherent` — a coherent-sampling TRNG (the paper's
   reference [7]), whose feasibility depends on narrow extra-device
   frequency dispersion — the STR's strong suit.
-* :mod:`repro.trng.postprocessing` — von Neumann and XOR correctors.
 * :mod:`repro.trng.attacks` — supply-manipulation attack scenarios used
   to compare the robustness of IRO- and STR-based generators.
 * :mod:`repro.trng.supervisor` — the supervised runtime: an AIS-31-style
@@ -46,8 +45,6 @@ from repro.trng.assessment import (
     most_common_value_estimate,
 )
 from repro.trng.coherent import CoherentSamplingTrng, CountStatistics, beat_period_ps
-from repro.trng.postprocessing import von_neumann, xor_decimate, parity_blocks
-from repro.trng.bitio import pack_bits, unpack_bits, write_bitstream, read_bitstream
 from repro.trng.xored_rings import XoredRingTrng, XoredDesignPoint
 from repro.trng.attacks import (
     AttackOutcome,
@@ -96,13 +93,6 @@ __all__ = [
     "CoherentSamplingTrng",
     "CountStatistics",
     "beat_period_ps",
-    "von_neumann",
-    "xor_decimate",
-    "parity_blocks",
-    "pack_bits",
-    "unpack_bits",
-    "write_bitstream",
-    "read_bitstream",
     "XoredRingTrng",
     "XoredDesignPoint",
     "AttackOutcome",

@@ -50,11 +50,6 @@ class AttackOutcome:
     battery_passed: bool
     failed_tests: Sequence[str]
 
-    @property
-    def is_compromised(self) -> bool:
-        """Pragmatic compromise flag: visible structure in the output."""
-        return (not self.battery_passed) or self.markov_entropy < 0.98
-
 
 @dataclasses.dataclass(frozen=True)
 class SupplyAttack:

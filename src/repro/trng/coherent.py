@@ -89,11 +89,6 @@ class CoherentDesignPoint:
         return math.sqrt(self.expected_count) * step_sigma / difference
 
     @property
-    def lsb_is_entropic(self) -> bool:
-        """Rule of thumb: the LSB is unbiased once sigma_count >= 1."""
-        return self.predicted_count_sigma >= 1.0
-
-    @property
     def drift_to_diffusion_ratio(self) -> float:
         """Per-sample phase drift over per-sample phase diffusion.
 
@@ -215,36 +210,6 @@ class CoherentSamplingTrng:
                 "requested; increase the margin"
             )
         return (counts[:bit_count] % 2).astype(int)
-
-    def generate_symbols(
-        self, symbol_count: int, bit_width: int = 2, seed: SeedLike = None
-    ) -> np.ndarray:
-        """Extract ``bit_width`` LSBs of each counter value as symbols.
-
-        Multi-bit extraction is only sound while the counter wanders over
-        far more than ``2**bit_width`` values; the design-point check is
-        ``predicted_count_sigma >= 2**bit_width`` (the generalization of
-        the LSB rule).  Raises when the operating point cannot support
-        the requested width.
-        """
-        from repro.stats.symbols import low_bits
-
-        if symbol_count < 1:
-            raise ValueError(f"symbol count must be positive, got {symbol_count}")
-        point = self.design_point()
-        if point.predicted_count_sigma < float(2**bit_width):
-            raise ValueError(
-                f"counter sigma {point.predicted_count_sigma:.1f} cannot "
-                f"support {bit_width}-bit symbols (needs >= {2**bit_width})"
-            )
-        samples_needed = int(math.ceil((symbol_count + 4) * point.expected_count)) + 16
-        counts = self.counter_values(samples_needed, seed=seed)
-        if counts.size < symbol_count:
-            raise RuntimeError(
-                f"collected only {counts.size} counter values of "
-                f"{symbol_count} requested"
-            )
-        return low_bits(counts[:symbol_count], bit_width)
 
     def measured_count_statistics(
         self, beat_count: int = 256, seed: SeedLike = None

@@ -70,11 +70,6 @@ class MultiphaseDesignPoint:
     diffusion_sigma_ps: float
 
     @property
-    def comb_spacing_ps(self) -> float:
-        """Tick spacing of the merged phase comb, ``T / (2L)``."""
-        return self.period_ps / (2.0 * self.stage_count)
-
-    @property
     def virtual_period_ps(self) -> float:
         """Period of the XOR parity signal, ``T / L``."""
         return self.period_ps / self.stage_count
@@ -102,11 +97,6 @@ class MultiphaseDesignPoint:
     @property
     def entropy_bound(self) -> float:
         return predicted_shannon_entropy(self.q_factor)
-
-    @property
-    def speedup_vs_elementary(self) -> float:
-        """Reference-period ratio against a single-output sampler at equal Q."""
-        return float(self.stage_count**2)
 
 
 def measure_diffusion_sigma_ps(

@@ -143,11 +143,6 @@ class PhaseWalkTrng:
         """The entropy quality factor (:func:`quality_factor`)."""
         return quality_factor(self.period_jitter_ps, self.period_ps, self.reference_period_ps)
 
-    @property
-    def phase_sigma_per_sample(self) -> float:
-        """Std of the random phase increment per sample, in periods."""
-        return self._phase_sigma
-
     # ------------------------------------------------------------------
     # phase trajectories
     # ------------------------------------------------------------------

@@ -434,10 +434,6 @@ class SupervisedRunResult:
         return int(self.bits.size)
 
     @property
-    def alarm_events(self) -> List[SupervisorEvent]:
-        return self.events.of_kind("alarm")
-
-    @property
     def first_alarm_position(self) -> Optional[int]:
         first = self.events.first_of_kind("alarm")
         return first.bit_position if first is not None else None

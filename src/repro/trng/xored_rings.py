@@ -69,16 +69,6 @@ class XoredDesignPoint:
         )
         return math.exp(min(log_bias, 0.0))
 
-    @property
-    def output_entropy_bound(self) -> float:
-        """Entropy implied by the XOR bias bound (independence assumed)."""
-        eps = min(self.xor_bias_bound, 0.5)
-        if eps >= 0.5:
-            return 0.0
-        p = 0.5 + eps
-        q = 1.0 - p
-        return -(p * math.log2(p) + q * math.log2(q))
-
 
 class XoredRingTrng:
     """N independent ring oscillators, sampled together and XOR-ed.

@@ -15,14 +15,8 @@ because 1 MHz corresponds to a period of 1 us = 1e6 ps.
 
 from __future__ import annotations
 
-#: Picoseconds per nanosecond.
-PS_PER_NS: float = 1_000.0
-
 #: Picoseconds per microsecond.
 PS_PER_US: float = 1_000_000.0
-
-#: Picoseconds per second.
-PS_PER_S: float = 1e12
 
 #: ``period_ps * freq_mhz`` for any periodic signal.
 _MHZ_PS_PRODUCT: float = 1e6
@@ -48,23 +42,3 @@ def period_ps_to_mhz(period_ps: float) -> float:
     if period_ps <= 0.0:
         raise ValueError(f"period must be positive, got {period_ps} ps")
     return _MHZ_PS_PRODUCT / period_ps
-
-
-def ns_to_ps(value_ns: float) -> float:
-    """Convert nanoseconds to picoseconds."""
-    return value_ns * PS_PER_NS
-
-
-def ps_to_ns(value_ps: float) -> float:
-    """Convert picoseconds to nanoseconds."""
-    return value_ps / PS_PER_NS
-
-
-def seconds_to_ps(value_s: float) -> float:
-    """Convert seconds to picoseconds."""
-    return value_s * PS_PER_S
-
-
-def ps_to_seconds(value_ps: float) -> float:
-    """Convert picoseconds to seconds."""
-    return value_ps / PS_PER_S

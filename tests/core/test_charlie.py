@@ -80,11 +80,6 @@ class TestCharlieDiagram:
         assert diagram.slope(-10.0) == pytest.approx(-1.0)
         assert diagram.slope(0.0) == 0.0
 
-    def test_linear_region_detection(self):
-        diagram = CharlieDiagram(CharlieParameters.symmetric(100.0, 20.0))
-        assert diagram.is_in_linear_region(500.0)
-        assert not diagram.is_in_linear_region(0.0)
-
     def test_output_time_basic(self):
         diagram = CharlieDiagram(CharlieParameters.symmetric(100.0, 50.0))
         # Simultaneous inputs at t = 10: fire at 10 + Ds + Dch.
@@ -99,6 +94,30 @@ class TestCharlieDiagram:
     def test_separation(self):
         diagram = CharlieDiagram(CharlieParameters.symmetric(100.0, 50.0))
         assert diagram.separation_ps(30.0, 10.0) == pytest.approx(10.0)
+
+    def test_asymptote_gap_is_charlie_at_simultaneous_inputs(self):
+        diagram = CharlieDiagram(CharlieParameters.symmetric(100.0, 50.0))
+        assert diagram.asymptote_gap_ps(0.0) == pytest.approx(50.0)
+
+    def test_asymptote_gap_vanishes_in_the_linear_part(self):
+        diagram = CharlieDiagram(CharlieParameters.symmetric(100.0, 50.0))
+        gaps = [diagram.asymptote_gap_ps(s) for s in (0.0, 50.0, 500.0, 5000.0)]
+        assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 0.5
+
+    def test_asymptote_gap_centred_on_the_offset(self):
+        params = CharlieParameters(forward_delay_ps=80.0, reverse_delay_ps=120.0, charlie_ps=10.0)
+        diagram = CharlieDiagram(params)
+        offset = params.separation_offset_ps
+        assert diagram.asymptote_gap_ps(offset) == pytest.approx(10.0)
+        assert diagram.asymptote_gap_ps(offset + 30.0) == pytest.approx(
+            diagram.asymptote_gap_ps(offset - 30.0)
+        )
+
+    def test_gap_is_the_delay_above_the_asymptote(self):
+        diagram = CharlieDiagram(CharlieParameters.symmetric(100.0, 50.0))
+        for s in (-120.0, 0.0, 40.0):
+            assert diagram.delay_ps(s) == pytest.approx(100.0 + abs(s) + diagram.asymptote_gap_ps(s))
 
 
 class TestDraftingEffect:

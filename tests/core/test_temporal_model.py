@@ -103,7 +103,6 @@ class TestSolveSteadyState:
         )
         assert state.bubble_count == 4
         assert state.frequency_mhz == pytest.approx(1e6 / 1400.0)
-        assert state.revolution_time_ps == pytest.approx(2800.0)
         assert state.regulation_margin == pytest.approx(0.75)
 
     def test_invalid_config_raises(self):

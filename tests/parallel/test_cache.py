@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import MISSING, ResultCache, canonical, default_cache, fingerprint
-from repro.parallel.cache import ENV_CACHE_DIR
+from repro.parallel.cache import ENV_CACHE_DIR, atomic_write_json, read_json
 
 
 @pytest.fixture
@@ -198,6 +198,51 @@ def _hammer_own_keys(root, barrier, worker_id, per_worker):
     for i in range(per_worker):
         seed = worker_id * per_worker + i
         cache.put("sweep_point", SPEC, seed, {"worker": worker_id, "seed": seed})
+
+
+class TestAbsorb:
+    def test_copies_every_entry(self, cache, tmp_path):
+        other = ResultCache(root=tmp_path / "other", version="1.0.0")
+        for seed in range(3):
+            other.put("sweep_point", SPEC, seed, {"seed": seed})
+        assert cache.absorb(other) == 3
+        for seed in range(3):
+            assert cache.get("sweep_point", SPEC, seed) == {"seed": seed}
+
+    def test_skips_entries_already_present(self, cache, tmp_path):
+        other = ResultCache(root=tmp_path / "other", version="1.0.0")
+        cache.put("sweep_point", SPEC, 0, "mine")
+        other.put("sweep_point", SPEC, 0, "mine")
+        other.put("sweep_point", SPEC, 1, "theirs")
+        assert cache.absorb(other) == 1
+        assert cache.absorb(other) == 0
+        assert cache.stats().entry_count == 2
+
+    def test_absorbing_an_empty_cache(self, cache, tmp_path):
+        assert cache.absorb(ResultCache(root=tmp_path / "missing", version="1.0.0")) == 0
+        assert not list(cache.root.rglob("*.tmp"))
+
+
+class TestJsonDocuments:
+    def test_round_trip_creates_parents(self, tmp_path):
+        path = tmp_path / "shards" / "0" / "manifest.json"
+        atomic_write_json(path, {"b": [1, 2], "a": None})
+        assert read_json(path) == {"a": None, "b": [1, 2]}
+
+    def test_overwrite_leaves_no_temporaries(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        atomic_write_json(path, {"version": 1})
+        atomic_write_json(path, {"version": 2})
+        assert read_json(path) == {"version": 2}
+        assert [entry.name for entry in tmp_path.iterdir()] == ["manifest.json"]
+
+    def test_unserializable_payload_keeps_previous_document(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        atomic_write_json(path, {"version": 1})
+        with pytest.raises(TypeError):
+            atomic_write_json(path, {"version": object()})
+        assert read_json(path) == {"version": 1}
+        assert [entry.name for entry in tmp_path.iterdir()] == ["manifest.json"]
 
 
 class TestConcurrency:

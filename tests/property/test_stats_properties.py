@@ -1,4 +1,4 @@
-"""Property-based tests for statistics and post-processing."""
+"""Property-based tests for statistics."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.stats.entropy import (
     min_entropy_per_bit,
     shannon_entropy_per_bit,
 )
-from repro.trng.postprocessing import von_neumann, xor_decimate
 
 bit_lists = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8).map(
     lambda seeds: np.concatenate(
@@ -40,34 +39,6 @@ class TestEntropyBounds:
         assert min_entropy_per_bit(bits) == pytest.approx(
             min_entropy_per_bit(flipped), abs=1e-12
         )
-
-
-class TestPostprocessingProperties:
-    @given(bit_lists)
-    def test_von_neumann_output_is_binary_and_shorter(self, bits):
-        out = von_neumann(bits)
-        assert out.size <= bits.size // 2
-        assert np.all((out == 0) | (out == 1))
-
-    @given(bit_lists)
-    def test_von_neumann_inversion_symmetry(self, bits):
-        # Flipping input bits flips output bits (01 <-> 10 swap).
-        out = von_neumann(bits)
-        flipped_out = von_neumann(1 - bits)
-        assert np.array_equal(flipped_out, 1 - out)
-
-    @given(bit_lists, st.integers(1, 8))
-    def test_xor_decimate_length(self, bits, fold):
-        if bits.size >= fold:
-            out = xor_decimate(bits, fold)
-            assert out.size == bits.size // fold
-
-    @given(bit_lists)
-    def test_xor_decimate_parity_conservation(self, bits):
-        usable = (bits.size // 4) * 4
-        if usable:
-            out = xor_decimate(bits[:usable], 4)
-            assert out.sum() % 2 == bits[:usable].sum() % 2
 
 
 class TestDescriptiveProperties:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fpga.floorplan import LabGrid, PlacementStrategy, place_on_grid, routed_stage_delays
-from repro.fpga.netlist import iro_netlist, ring_order, str_netlist
+from repro.fpga.placement import RoutingClass, place_ring
 from repro.trng.assessment import markov_estimate, most_common_value_estimate
 from repro.trng.health import adaptive_proportion_cutoff, repetition_count_cutoff
 
@@ -56,20 +56,34 @@ class TestFloorplanProperties:
         assert np.all(delays <= 200.0 + 161.0 + 35.0 * diameter + 1e-9)
 
 
-class TestNetlistProperties:
-    @settings(max_examples=30)
-    @given(st.integers(3, 64))
-    def test_iro_ring_closes(self, stage_count):
-        order = ring_order(iro_netlist(stage_count))
-        assert len(order) == stage_count
-        assert len(set(order)) == stage_count
+class TestSequentialPlacementProperties:
+    @settings(max_examples=60)
+    @given(st.integers(1, 200), st.integers(1, 32), st.integers(0, 500))
+    def test_lab_count_matches_lut_span(self, stage_count, capacity, first_lut):
+        placement = place_ring(stage_count, capacity, first_lut)
+        last_lut = first_lut + stage_count - 1
+        assert placement.lab_count == last_lut // capacity - first_lut // capacity + 1
 
-    @settings(max_examples=30)
-    @given(st.integers(3, 64))
-    def test_str_net_count(self, stage_count):
-        netlist = str_netlist(stage_count)
-        assert len(netlist.nets) == 2 * stage_count
-        assert len(netlist.validate_single_ring()) == stage_count
+    @settings(max_examples=60)
+    @given(st.integers(1, 200), st.integers(1, 32), st.integers(0, 500))
+    def test_inter_lab_hops_equal_labs_entered(self, stage_count, capacity, first_lut):
+        # A sequential ring enters every LAB it spans exactly once,
+        # the wrap hop re-entering the first; one LAB means no crossing.
+        placement = place_ring(stage_count, capacity, first_lut)
+        crossings = placement.hop_classes.count(RoutingClass.INTER_LAB)
+        expected = 0 if placement.lab_count == 1 else placement.lab_count
+        assert crossings == expected
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 200), st.integers(1, 32), st.integers(0, 500))
+    def test_labs_are_contiguous_and_filled_in_order(self, stage_count, capacity, first_lut):
+        placement = place_ring(stage_count, capacity, first_lut)
+        steps = np.diff(placement.lab_indices)
+        assert np.all((steps == 0) | (steps == 1))
+        assert all(
+            lab == lut // capacity
+            for lut, lab in zip(placement.lut_indices, placement.lab_indices)
+        )
 
 
 class TestAssessmentProperties:

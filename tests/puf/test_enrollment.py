@@ -43,7 +43,7 @@ class TestPlacements:
         placements = ring_placements(design)
         profiles = {placement.hop_classes for placement in placements}
         assert len(profiles) == 1
-        assert all(placement.is_single_lab() for placement in placements)
+        assert all(placement.lab_count == 1 for placement in placements)
 
     def test_aligned_rings_do_not_overlap(self):
         design = PufDesign(ring_count=32, stage_count=3)
@@ -57,7 +57,7 @@ class TestPlacements:
     def test_sequential_rings_cross_lab_boundaries(self):
         design = PufDesign(ring_count=32, stage_count=3, placement_policy="sequential")
         placements = ring_placements(design)
-        crossing = [p for p in placements if not p.is_single_lab()]
+        crossing = [p for p in placements if p.lab_count > 1]
         assert crossing, "sequential fill must straddle some LAB boundary"
 
     def test_aligned_rejects_oversized_ring(self):

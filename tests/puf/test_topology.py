@@ -10,7 +10,6 @@ from repro.puf.topology import (
     TOPOLOGIES,
     derive_response_bits,
     lehmer_digit_widths,
-    ordering_entropy_bits,
     response_bit_count,
     validate_topology,
 )
@@ -88,15 +87,3 @@ class TestDeriveBits:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError, match="2-D"):
             derive_response_bits(np.array([1.0, 2.0]), "neighbor")
-
-
-class TestOrderingEntropy:
-    def test_global_bound(self):
-        assert ordering_entropy_bits(8, "neighbor") == pytest.approx(
-            math.log2(math.factorial(8))
-        )
-
-    def test_lehmer_bound_is_per_group(self):
-        assert ordering_entropy_bits(16, "lehmer", group_size=8) == pytest.approx(
-            2 * math.log2(math.factorial(8))
-        )

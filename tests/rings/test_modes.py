@@ -5,7 +5,6 @@ import pytest
 
 from repro.rings.modes import (
     OscillationMode,
-    burstiness_profile,
     classify_intervals,
     classify_trace,
 )
@@ -59,22 +58,3 @@ class TestClassifyTrace:
     def test_trace_adapter(self):
         trace = trace_from_intervals(np.full(64, 100.0))
         assert classify_trace(trace).mode is OscillationMode.EVENLY_SPACED
-
-
-class TestBurstinessProfile:
-    def test_flat_for_even(self):
-        trace = trace_from_intervals(np.full(64, 100.0))
-        profile = burstiness_profile(trace, tokens_per_revolution=4)
-        assert np.allclose(profile, 1.0)
-
-    def test_peaked_for_burst(self):
-        trace = trace_from_intervals(np.tile([20.0, 20.0, 20.0, 340.0], 16))
-        profile = burstiness_profile(trace, tokens_per_revolution=4)
-        assert profile.max() / profile.min() > 5.0
-
-    def test_validation(self):
-        trace = trace_from_intervals(np.full(8, 100.0))
-        with pytest.raises(ValueError):
-            burstiness_profile(trace, 0)
-        with pytest.raises(ValueError):
-            burstiness_profile(trace, 1000)

@@ -32,6 +32,20 @@ class TestCensus:
         with pytest.raises(ValueError):
             tokens.count_tokens([0, 1])
 
+    def test_token_mask_marks_value_changes(self):
+        # Stage i holds a token when it differs from its predecessor i-1.
+        mask = tokens.token_mask([1, 1, 0, 0, 1])
+        assert mask.tolist() == [False, False, True, False, True]
+
+    def test_token_mask_agrees_with_positions(self):
+        state = [0, 1, 1, 0, 1, 0, 0, 0]
+        mask = tokens.token_mask(state)
+        assert np.flatnonzero(mask).tolist() == tokens.token_positions(state)
+        assert np.flatnonzero(~mask).tolist() == tokens.bubble_positions(state)
+
+    def test_token_mask_of_uniform_state_is_empty(self):
+        assert not tokens.token_mask([1, 1, 1, 1]).any()
+
 
 class TestConstruction:
     def test_state_from_positions_round_trip(self):

@@ -52,10 +52,10 @@ def _scripted_pool(fire_at=2, preemptive=True, **kwargs):
 class TestAttach:
     def test_attach_creates_one_monitor_per_channel(self):
         pool = TrngPool([IRO5, STR48], seed=3)
-        assert pool.drift_monitor("anything") is None
+        assert pool._drift_monitors.get("anything") is None
         pool.attach_drift_monitors()
         for channel in pool.channels:
-            monitor = pool.drift_monitor(channel.name)
+            monitor = pool._drift_monitors.get(channel.name)
             assert isinstance(monitor, ChannelDriftMonitor)
             assert monitor.channel == channel.name
 
@@ -64,7 +64,7 @@ class TestAttach:
         pool.attach_drift_monitors()
         pool.get_bytes(512)
         fed = sum(
-            pool.drift_monitor(channel.name).block_index
+            pool._drift_monitors.get(channel.name).block_index
             for channel in pool.channels
         )
         served = sum(1 for entry in pool.ledger if entry.purpose == "serve")
@@ -77,7 +77,7 @@ class TestAttach:
         # Healthy pool, telemetry off by default in the monitor? No —
         # signals list stays empty on a healthy stream, which is the
         # deterministic-clock claim worth asserting here.
-        assert pool.drift_monitor(pool.channels[0].name).signals == []
+        assert pool._drift_monitors.get(pool.channels[0].name).signals == []
 
 
 class TestPreemptiveQuarantine:

@@ -121,11 +121,6 @@ class TestSimulator:
         simulator.run(process, SimulationLimits(max_events=10))
         assert times == sorted(times)
 
-    def test_pending_count(self):
-        simulator = Simulator()
-        simulator.run(_Relay(), SimulationLimits(max_events=1))
-        assert simulator.pending_count == 1
-
 
 class TestStopReason:
     def test_queue_empty(self):

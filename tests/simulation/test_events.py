@@ -40,6 +40,3 @@ class TestEdge:
 
     def test_polarity_falling(self):
         assert Edge(time_ps=1.0, node=0, value=0).polarity == -1
-
-    def test_as_tuple(self):
-        assert Edge(time_ps=2.5, node=4, value=1).as_tuple() == (2.5, 4, 1)

@@ -98,9 +98,6 @@ class TestModulations:
             composite.factor_array(np.array([0.0, 100.0])), [0.1, 0.2]
         )
 
-    def test_no_modulation_helper(self):
-        assert noise.no_modulation().factor(1e9) == 0.0
-
 
 @pytest.mark.parametrize(
     "modulation",

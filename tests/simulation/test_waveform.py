@@ -106,13 +106,6 @@ class TestEdgeTrace:
         trace = make_square_trace()
         assert trace.skip_edges(0) is trace
 
-    def test_cycle_to_cycle_jitter(self):
-        times = np.cumsum([50.0] + [45.0, 45.0, 55.0, 55.0] * 6)
-        trace = EdgeTrace(times)
-        # Periods alternate 90/110 -> deltas alternate +-20.
-        deltas = np.diff(trace.periods_ps())
-        assert trace.cycle_to_cycle_jitter_ps() == pytest.approx(np.std(deltas, ddof=1))
-
     def test_too_short_for_period(self):
         with pytest.raises(ValueError):
             EdgeTrace([1.0, 2.0]).mean_period_ps()
@@ -121,3 +114,12 @@ class TestEdgeTrace:
         trace = make_square_trace()
         with pytest.raises(ValueError):
             trace.times_ps[0] = -1.0
+
+    def test_half_periods_are_edge_to_edge(self):
+        trace = make_square_trace(period_ps=100.0, cycles=4, duty=0.3)
+        np.testing.assert_allclose(trace.half_periods_ps(), [30.0, 70.0] * 3 + [30.0])
+
+    def test_two_half_periods_make_a_period(self):
+        trace = make_square_trace(period_ps=100.0, cycles=6, duty=0.4)
+        halves = trace.half_periods_ps()
+        np.testing.assert_allclose(halves[0::2][:5] + halves[1::2][:5], trace.periods_ps())

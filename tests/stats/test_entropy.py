@@ -5,7 +5,6 @@ import pytest
 
 from repro.stats.entropy import (
     bias,
-    entropy_deficiency,
     markov_entropy_per_bit,
     min_entropy_per_bit,
     shannon_entropy_per_bit,
@@ -77,9 +76,6 @@ class TestMarkovEntropy:
         bits = np.asarray(bits)
         assert shannon_entropy_per_bit(bits) == pytest.approx(1.0, abs=0.01)
         assert markov_entropy_per_bit(bits) == pytest.approx(0.469, abs=0.02)
-
-    def test_deficiency(self):
-        assert entropy_deficiency(biased_bits(0.5)) == pytest.approx(0.0, abs=0.002)
 
     def test_needs_two_bits(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from repro.stats.randomness import (
     run_battery,
     runs_test,
 )
+from repro.stats.randomness import TestResult as OutcomeRecord
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,19 @@ def biased_bits():
 @pytest.fixture(scope="module")
 def periodic_bits():
     return np.tile([0, 1, 1, 0], 15_000)
+
+
+class TestResultFromPValue:
+    def test_p_value_at_alpha_passes(self):
+        assert OutcomeRecord.from_p_value("monobit", 0.01, 1.2, alpha=0.01).passed
+
+    def test_p_value_below_alpha_fails(self):
+        assert not OutcomeRecord.from_p_value("monobit", 0.0099, 1.2, alpha=0.01).passed
+
+    def test_numpy_values_become_plain_floats(self):
+        result = OutcomeRecord.from_p_value("runs", np.float64(0.5), np.float32(2.0), alpha=0.01)
+        assert type(result.p_value) is float and type(result.statistic) is float
+        assert type(result.passed) is bool
 
 
 class TestIndividualTests:

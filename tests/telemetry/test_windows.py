@@ -34,7 +34,6 @@ class TestConstruction:
         window = SnapshotWindow()
         assert len(window) == 0
         assert window.latest is None
-        assert window.latest_t_s is None
         assert window.gauge("g") is None
 
 

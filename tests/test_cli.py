@@ -100,9 +100,19 @@ class TestCommands:
         batch = json.loads(capsys.readouterr().out)
         assert batch == event
 
-    def test_run_unknown_id(self):
-        with pytest.raises(KeyError):
-            main(["run", "FIG99"])
+    def test_run_unknown_id(self, capsys):
+        assert main(["run", "FIG99"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "FIG99" in err and ", ".join(EXPERIMENT_IDS) in err
+
+    def test_report_md_unknown_id(self, capsys, tmp_path):
+        output = tmp_path / "report.md"
+        assert main(["report-md", "--ids", "FIG99", "--output", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "FIG99" in err
+        assert ", ".join(EXPERIMENT_IDS) in err
+        assert not output.exists()
 
     def test_report(self, capsys):
         assert main(["report", "--periods", "256", "--seed", "1"]) == 0

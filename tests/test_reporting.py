@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.base import ExperimentResult
-from repro.reporting.ascii_plot import AsciiPlot, plot_series
+from repro.reporting.ascii_plot import AsciiPlot
 from repro.reporting.markdown import (
     render_markdown_report,
     render_result_markdown,
@@ -30,13 +30,16 @@ class TestAsciiPlot:
         assert canvas[-1].lstrip().startswith("o")  # min point bottom-left
 
     def test_multiple_series_distinct_glyphs(self):
-        text = plot_series(
-            {"a": ([0, 1], [0, 1]), "b": ([0, 1], [1, 0])}, width=20, height=6
-        )
+        plot = AsciiPlot(width=20, height=6)
+        plot.add_series("a", [0, 1], [0, 1])
+        plot.add_series("b", [0, 1], [1, 0])
+        text = plot.render()
         assert "o = a" in text and "x = b" in text
 
     def test_constant_series_does_not_crash(self):
-        text = plot_series({"flat": ([0, 1, 2], [5.0, 5.0, 5.0])}, width=20, height=6)
+        plot = AsciiPlot(width=20, height=6)
+        plot.add_series("flat", [0, 1, 2], [5.0, 5.0, 5.0])
+        text = plot.render()
         assert "flat" in text
 
     def test_validation(self):

@@ -28,17 +28,3 @@ class TestFrequencyPeriod:
     def test_rejects_nonpositive_period(self, bad):
         with pytest.raises(ValueError):
             units.period_ps_to_mhz(bad)
-
-
-class TestTimeScales:
-    def test_ns_to_ps(self):
-        assert units.ns_to_ps(1.5) == pytest.approx(1500.0)
-
-    def test_ps_to_ns(self):
-        assert units.ps_to_ns(2500.0) == pytest.approx(2.5)
-
-    def test_seconds_round_trip(self):
-        assert units.ps_to_seconds(units.seconds_to_ps(1e-6)) == pytest.approx(1e-6)
-
-    def test_second_is_1e12_ps(self):
-        assert units.seconds_to_ps(1.0) == pytest.approx(1e12)

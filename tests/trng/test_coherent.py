@@ -50,16 +50,44 @@ class TestDesignPoint:
 
     def test_entropic_flag(self):
         good = CoherentSamplingTrng(ring(3000.0), ring(3010.0))
-        assert good.design_point().lsb_is_entropic
+        assert good.design_point().predicted_count_sigma >= 1.0
         # Heavy detuning: short beat, little accumulated jitter.
         poor = CoherentSamplingTrng(
             ring(3000.0, sigma=0.2), ring(3050.0, sigma=0.2)
         )
-        assert not poor.design_point().lsb_is_entropic
+        assert poor.design_point().predicted_count_sigma < 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             CoherentSamplingTrng(ring(), ring(), max_relative_detuning=0.0)
+
+    def test_samples_per_beat(self):
+        point = CoherentSamplingTrng(ring(3000.0), ring(3010.0)).design_point()
+        # Beat period 3000 * 3010 / 10 ps, sampled every 3010 ps.
+        assert point.samples_per_beat == pytest.approx(300.0)
+        assert point.expected_count == pytest.approx(0.5 * point.samples_per_beat)
+
+    def test_detuning_is_symmetric_in_the_pair(self):
+        forward = CoherentSamplingTrng(ring(3000.0), ring(3015.0)).design_point()
+        backward = CoherentSamplingTrng(ring(3015.0), ring(3000.0)).design_point()
+        assert forward.relative_detuning == pytest.approx(backward.relative_detuning)
+
+    def test_drift_to_diffusion_ratio(self):
+        point = CoherentSamplingTrng(ring(3000.0), ring(3010.0)).design_point()
+        assert point.drift_to_diffusion_ratio == pytest.approx(
+            10.0 / math.hypot(point.jitter_a_ps, point.jitter_b_ps)
+        )
+
+    def test_jitter_fragments_a_slow_beat(self):
+        quiet = CoherentSamplingTrng(ring(3000.0, sigma=1.0), ring(3010.0, sigma=1.0))
+        noisy = CoherentSamplingTrng(ring(3000.0, sigma=4.0), ring(3010.0, sigma=4.0))
+        assert quiet.design_point().is_drift_dominated
+        assert not noisy.design_point().is_drift_dominated
+
+    def test_jitter_free_pair_is_drift_dominated(self):
+        point = CoherentSamplingTrng(ring(3000.0, sigma=0.0), ring(3010.0, sigma=0.0)).design_point()
+        assert math.isinf(point.drift_to_diffusion_ratio)
+        assert point.is_drift_dominated
 
 
 class TestSignalChain:

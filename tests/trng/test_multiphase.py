@@ -41,9 +41,18 @@ class TestDesignPoint:
             reference_period_ps=50_000.0,
             diffusion_sigma_ps=1.0,
         )
-        assert point.comb_spacing_ps == pytest.approx(50.0)
         assert point.virtual_period_ps == pytest.approx(100.0)
-        assert point.speedup_vs_elementary == 441.0
+
+    def test_virtual_periods_share_the_ring_diffusion(self):
+        point = MultiphaseDesignPoint(
+            period_ps=2100.0,
+            stage_count=21,
+            reference_period_ps=50_000.0,
+            diffusion_sigma_ps=3.0,
+        )
+        assert point.virtual_jitter_ps == pytest.approx(3.0 / math.sqrt(21))
+        # L virtual periods span one ring period and add up its variance.
+        assert point.stage_count * point.virtual_jitter_ps**2 == pytest.approx(9.0)
 
     def test_q_factor_l_squared_gain(self):
         kwargs = dict(period_ps=2100.0, reference_period_ps=50_000.0, diffusion_sigma_ps=1.0)

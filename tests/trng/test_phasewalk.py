@@ -21,7 +21,6 @@ class TestConstruction:
         model = make_model()
         assert model.periods_per_sample == pytest.approx(100.0)
         assert model.q_factor == pytest.approx(100.0 * 4.0 / 1e6)
-        assert model.phase_sigma_per_sample == pytest.approx(np.sqrt(model.q_factor))
 
     def test_from_ring(self):
         ring = InverterRingOscillator([100.0] * 5, jitter_sigmas_ps=2.0)
