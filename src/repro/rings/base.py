@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -271,12 +271,20 @@ def simulate_many(
                     rejected_modulation=type(modulation).__name__,
                 )
             continue
-        specs = [
-            rings[row]._batch_spec(
-                _edge_count(counts[row], warmup_periods), seeds[row], output_stage
-            )
-            for row in rows
-        ]
+        # A ring's per-stage arrays are gathered once, however many rows
+        # (restarts, seeds) run it.
+        first_specs: Dict[int, Any] = {}
+        specs = []
+        for row in rows:
+            edge_count = _edge_count(counts[row], warmup_periods)
+            first = first_specs.get(id(rings[row]))
+            if first is None:
+                spec = first_specs[id(rings[row])] = rings[row]._batch_spec(
+                    edge_count, seeds[row], output_stage
+                )
+            else:
+                spec = dataclasses.replace(first, edge_count=edge_count, seed=seeds[row])
+            specs.append(spec)
         names = ", ".join(dict.fromkeys(rings[row].name for row in rows))
         periods = sum(counts[row] for row in rows)
         with span(

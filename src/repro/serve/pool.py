@@ -32,6 +32,17 @@ the most recent ``LEDGER_WINDOW`` entries; the entry count and the
 unhealthy-emitted count are running counters, exact over the pool's
 whole life, so memory does not grow with uptime.
 
+While the pool is nominal (no fault scenario, no drift monitors, no
+quarantined channel, every healthy channel resolving ``"ok"``),
+:meth:`TrngPool.get_bytes` draws all the blocks it still needs in one
+vectorised pass and health-tests each channel's share in one
+:meth:`~repro.trng.health.HealthMonitor.ingest`.  A clean pass commits
+exactly what the block-by-block walk would have produced; a pass with
+any alarm is rolled back (RNG and monitor state) and its blocks are
+produced again one at a time by :meth:`TrngPool.produce_block`, so an
+alarmed block is still discarded and its channel quarantined at the
+same block.
+
 Registry gauges (healthy/quarantined/tripped/brownout and the
 per-channel state and flap gauges) are published at construction and on
 every state transition; a steady run of clean blocks writes none.
@@ -48,7 +59,8 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
-from typing import Any, Deque, Dict, List, Optional, Sequence
+import itertools
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,11 +69,16 @@ from repro.fpga.board import Board
 from repro.simulation.noise import SeedLike, make_rng
 from repro.telemetry import default_registry, emit_event
 from repro.trng.health import HealthMonitor
+from repro.trng.phasewalk import PhaseWalkTrng, generate_rows
 from repro.trng.supervisor import BackoffSchedule, EventLog, RingChannel, SupervisorEvent
 
 
 # Entries kept in ``TrngPool.ledger``; older ones leave the window.
 LEDGER_WINDOW = 4096
+
+# Bits one vectorised pass draws at most (its phase matrix is 8 bytes a
+# bit), so a large request is served in several passes.
+_PASS_BITS = 1 << 18
 
 
 class PoolExhaustedError(RuntimeError):
@@ -125,6 +142,10 @@ class LedgerEntry:
     emitted: bool
 
 
+# A ledger row as the pool stores it: the fields of ``LedgerEntry``.
+_LedgerRow = Tuple[int, float, str, str, str, int, bool]
+
+
 class PoolChannel:
     """One pool slot: a ring channel plus its supervision state."""
 
@@ -181,7 +202,7 @@ class TrngPool:
             for index, spec in enumerate(specs)
         ]
         self.events = EventLog()
-        self.ledger: Deque[LedgerEntry] = collections.deque(maxlen=LEDGER_WINDOW)
+        self._ledger: Deque[_LedgerRow] = collections.deque(maxlen=LEDGER_WINDOW)
         self._ledger_total = 0
         self._unhealthy_emitted = 0
         self._buffer = bytearray()
@@ -252,6 +273,14 @@ class TrngPool:
     def brownout(self) -> bool:
         """Healthy capacity below the configured floor."""
         return self.healthy_count < self._config.min_healthy
+
+    @property
+    def ledger(self) -> List[LedgerEntry]:
+        """The most recent ``LEDGER_WINDOW`` entries, oldest first.
+
+        The window stores plain tuples; the entries are built on read.
+        """
+        return [LedgerEntry(*row) for row in self._ledger]
 
     @property
     def ledger_total(self) -> int:
@@ -356,16 +385,8 @@ class TrngPool:
     ) -> None:
         if emitted and alarms > 0:
             self._unhealthy_emitted += 1
-        self.ledger.append(
-            LedgerEntry(
-                index=self._ledger_total,
-                time_s=self._time_s,
-                channel=channel.name,
-                purpose=purpose,
-                status=status,
-                alarm_count=alarms,
-                emitted=emitted,
-            )
+        self._ledger.append(
+            (self._ledger_total, self._time_s, channel.name, purpose, status, alarms, emitted)
         )
         self._ledger_total += 1
 
@@ -512,23 +533,103 @@ class TrngPool:
         default_registry().counter("repro.serve.pool.exhausted").inc()
         return None
 
+    def _nominal_channels(self) -> Optional[List[Tuple[PoolChannel, PhaseWalkTrng]]]:
+        """The healthy channels and their models when a vectorised pass
+        can stand in for :meth:`produce_block`, else ``None``."""
+        if self._scenario is not None or self._drift_monitors:
+            return None
+        healthy: List[Tuple[PoolChannel, PhaseWalkTrng]] = []
+        for channel in self.channels:
+            if channel.state is ChannelState.QUARANTINED:
+                return None  # a re-admission probe may be due
+            if channel.state is ChannelState.HEALTHY:
+                _, model = channel.ring.resolve(NOMINAL_EFFECT)
+                if model is None:  # the status is not "ok"
+                    return None
+                healthy.append((channel, model))
+        return healthy or None
+
+    def _produce_pass(
+        self, healthy: List[Tuple[PoolChannel, PhaseWalkTrng]], rows: int
+    ) -> bool:
+        """Buffer ``rows`` gated blocks in one pass; ``False`` on a rollback.
+
+        Block ``j`` comes from the channel the round-robin walk would
+        visit ``j`` blocks on, and each channel's monitor ingests its
+        blocks in order as one chunk (alarms do not depend on chunking).
+        Any alarm restores the RNG and every monitor, and the caller
+        produces these blocks with :meth:`produce_block` instead.
+        """
+        count = len(healthy)
+        walk = [healthy[(self._rr_offset + j) % count] for j in range(rows)]
+        rng_state = self._rng.bit_generator.state
+        bits = generate_rows([model for _, model in walk], self._config.block_bits, self._rng)
+        # (channel, its first row); it serves every count-th row on
+        shares: List[Tuple[PoolChannel, int]] = []
+        for slot, (channel, _) in enumerate(healthy):
+            first = (slot - self._rr_offset) % count
+            if first < rows:
+                shares.append((channel, first))
+        snapshots = [channel.monitor.snapshot() for channel, _ in shares]
+        for channel, first in shares:
+            if channel.monitor.ingest(bits[first::count].ravel()):
+                self._rng.bit_generator.state = rng_state
+                for (owner, _), snapshot in zip(shares, snapshots):
+                    owner.monitor.restore(snapshot)
+                default_registry().counter("repro.serve.pool.batch_rollbacks").inc()
+                return False
+        for channel, first in shares:
+            # The output latch holds the channel's last sampled bit, as
+            # RingChannel.sample_block leaves it.
+            last = first + (rows - 1 - first) // count * count
+            channel.ring._held_bit = int(bits[last, -1])
+        times = list(
+            itertools.accumulate(
+                (channel.block_period_s for channel, _ in walk), initial=self._time_s
+            )
+        )
+        base = self._ledger_total
+        self._ledger.extend(
+            (base + j, times[j + 1], walk[j][0].name, "serve", "ok", 0, True)
+            for j in range(max(0, rows - LEDGER_WINDOW), rows)
+        )
+        self._ledger_total += rows
+        self._time_s = times[-1]
+        self._blocks_sampled += rows
+        self._rr_offset = (self._rr_offset + rows) % count
+        default_registry().counter("repro.serve.pool.blocks_emitted").inc(rows)
+        self._buffer.extend(np.packbits(bits, axis=1).tobytes())
+        return True
+
     def get_bytes(self, count: int) -> bytes:
         """Return ``count`` health-gated bytes, producing blocks as needed.
 
-        Raises :class:`PoolExhaustedError` when no healthy channel is
-        available; bytes already gated stay buffered for the next call.
+        A nominal pool produces them in vectorised passes (see the module
+        docstring); otherwise, and after a rolled-back pass, block by
+        block.  Raises :class:`PoolExhaustedError` when no healthy
+        channel is available; bytes already gated stay buffered for the
+        next call.
         """
         if count < 1:
             raise ValueError(f"byte count must be positive, got {count}")
+        block_bytes = self._config.block_bits // 8
+        pass_rows = max(1, _PASS_BITS // self._config.block_bits)
         while len(self._buffer) < count:
-            block = self.produce_block()
-            if block is None:
-                raise PoolExhaustedError(
-                    f"no healthy channel (healthy=0, "
-                    f"quarantined={len(self.channels_in(ChannelState.QUARANTINED))}, "
-                    f"tripped={len(self.channels_in(ChannelState.TRIPPED))})"
-                )
-            self._buffer.extend(np.packbits(block.astype(np.uint8)).tobytes())
+            rows = min(-(-(count - len(self._buffer)) // block_bytes), pass_rows)
+            healthy = self._nominal_channels()
+            if healthy is None:
+                rows = 1
+            elif self._produce_pass(healthy, rows):
+                continue
+            for _ in range(rows):
+                block = self.produce_block()
+                if block is None:
+                    raise PoolExhaustedError(
+                        f"no healthy channel (healthy=0, "
+                        f"quarantined={len(self.channels_in(ChannelState.QUARANTINED))}, "
+                        f"tripped={len(self.channels_in(ChannelState.TRIPPED))})"
+                    )
+                self._buffer.extend(np.packbits(block.astype(np.uint8)).tobytes())
         out = bytes(self._buffer[:count])
         del self._buffer[:count]
         self.bytes_emitted += count

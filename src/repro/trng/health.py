@@ -122,6 +122,32 @@ class HealthMonitor:
         self._window_count = 0
         self._window_position = 0
 
+    def snapshot(self) -> tuple:
+        """The streaming state, for :meth:`restore` to roll back to."""
+        return (
+            len(self.alarms),
+            self._position,
+            self._last_bit,
+            self._run_length,
+            self._window_reference,
+            self._window_count,
+            self._window_position,
+        )
+
+    def restore(self, snapshot: tuple) -> None:
+        """Undo every :meth:`ingest` since ``snapshot`` was taken (with no
+        :meth:`reset` in between): alarms and counters as they were."""
+        (
+            alarm_count,
+            self._position,
+            self._last_bit,
+            self._run_length,
+            self._window_reference,
+            self._window_count,
+            self._window_position,
+        ) = snapshot
+        del self.alarms[alarm_count:]
+
     # ------------------------------------------------------------------
     # streaming
     # ------------------------------------------------------------------
@@ -235,13 +261,18 @@ class HealthMonitor:
             offset = head.size
         remaining = array[offset:]
         full = remaining.size // window
-        for start in range(0, full * window, window):
-            segment = remaining[start : start + window]
-            reference = int(segment[0])
-            count = _occurrences(segment, reference)
-            if count >= cutoff:
+        if full:
+            segments = remaining[: full * window].reshape(full, window)
+            ones = np.count_nonzero(segments, axis=1)
+            references = segments[:, 0] != 0
+            counts = np.where(references, ones, window - ones)
+            for index in np.flatnonzero(counts >= cutoff):
                 alarms.append(
-                    self._proportion_alarm(base + offset + start + window - 1, count, reference)
+                    self._proportion_alarm(
+                        base + offset + (int(index) + 1) * window - 1,
+                        int(counts[index]),
+                        int(references[index]),
+                    )
                 )
         tail = remaining[full * window :]
         if tail.size:

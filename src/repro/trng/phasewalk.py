@@ -29,7 +29,7 @@ reproduces the deterministic phase exactly (Section IV, after [2]).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -203,3 +203,36 @@ class PhaseWalkTrng:
         # several times cheaper.
         phase -= np.floor(phase)
         return (phase < 0.5).astype(int)
+
+
+def generate_rows(
+    models: Sequence[PhaseWalkTrng], bit_count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """One block of bits per model, drawn from ``rng`` in one pass.
+
+    Row ``i`` of the ``(len(models), bit_count)`` bool matrix equals
+    ``models[i].generate(bit_count, seed=rng)`` called in sequence: the
+    draws per row are the same (the power-up phase, then the normals,
+    since ``normal(0, s)`` is ``0.0 + s * z``) and so is the rounding,
+    because the scale, the cumulative sum along a row, the add of the
+    nominal phase and the fraction are the per-row operations done on
+    the whole matrix.  Only nominal blocks (no modulation, full jitter)
+    are made here.
+    """
+    if bit_count < 1:
+        raise ValueError(f"bit count must be positive, got {bit_count}")
+    rows = len(models)
+    walk = np.empty((rows, bit_count))
+    initial = np.empty((rows, 1))
+    for row, model in enumerate(models):
+        initial[row] = rng.random()
+        if model._phase_sigma > 0.0:
+            rng.standard_normal(out=walk[row])
+        else:
+            walk[row] = 0.0  # no jitter, no draws: the nominal phase
+    walk *= np.array([[model._phase_sigma] for model in models])
+    walk.cumsum(axis=1, out=walk)
+    steps = np.array([[model.periods_per_sample] for model in models])
+    walk += initial + steps * np.arange(1, bit_count + 1)
+    walk -= np.floor(walk)
+    return walk < 0.5

@@ -17,6 +17,7 @@ from repro.core.campaign import RingSpec, run_campaign
 from repro.core.characterization import jitter_versus_length, measure_period_jitter
 from repro.core.charlie import CharlieDiagram, CharlieParameters
 from repro.experiments import fig09_histograms, fig10_method
+from repro.experiments.registry import run_experiment
 from repro.fpga.board import BoardBank
 from repro.measurement.counters import RippleDivider
 from repro.rings.base import simulate_many
@@ -118,6 +119,29 @@ class TestSimulateMany:
             np.testing.assert_array_equal(
                 result.warmup_trace.times_ps, alone.warmup_trace.times_ps
             )
+            np.testing.assert_array_equal(result.trace.times_ps, alone.trace.times_ps)
+            assert result.events_processed == alone.events_processed
+
+    def test_repeated_rings_build_their_spec_once(self, monkeypatch):
+        """Restarts of one ring (different counts and seeds) reuse its
+        per-stage arrays and still run as if alone."""
+        built = []
+        for cls in (SelfTimedRing, InverterRingOscillator):
+            original = cls._batch_spec
+
+            def counting(ring, *args, _original=original):
+                built.append(ring)
+                return _original(ring, *args)
+
+            monkeypatch.setattr(cls, "_batch_spec", counting)
+        str8, iro5 = make_str(8, sigma=2.0), make_iro(5)
+        rings = [str8, iro5, str8, str8, iro5]
+        counts = [40, 24, 32, 16, 20]
+        seeds = [3, 4, 5, 6, 7]
+        many = simulate_many(rings, counts, seeds, warmup_periods=4)
+        assert sorted(map(id, built)) == sorted((id(str8), id(iro5)))
+        for ring, count, seed, result in zip(rings, counts, seeds, many):
+            alone = ring.simulate(count, seed=seed, warmup_periods=4)
             np.testing.assert_array_equal(result.trace.times_ps, alone.trace.times_ps)
             assert result.events_processed == alone.events_processed
 
@@ -273,6 +297,19 @@ class TestEventOraclePinned:
         events, batch_calls = _event_counts()
         assert events > 0
         assert batch_calls == 0
+
+
+class TestSweepsStayOnTheKernel:
+    """A silent event fallback in a sweep is invisible to a timing gate
+    when the event engine is about as fast as the kernel (FIG5's two
+    12-stage rings); the counters see it."""
+
+    def test_fig5_runs_no_event_engine(self):
+        run_experiment("FIG5")
+        events, batch_calls = _event_counts()
+        assert events == 0
+        assert default_registry().counter("repro.batch.fallbacks").value == 0
+        assert batch_calls > 0
 
 
 def _digest(text):

@@ -269,6 +269,44 @@ class TestVectorizedEquivalence:
         )
         self._assert_equivalent(bits, rng)
 
+    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    def test_multi_window_chunks(self, dtype):
+        """Chunks spanning many windows, with a carry window open at
+        either end: the full windows are counted in one pass."""
+        rng = np.random.default_rng(17)
+        bits = np.concatenate(
+            [
+                rng.integers(0, 2, 3_000),
+                (rng.random(3_000) < 0.85).astype(int),  # proportion alarms
+                (rng.random(3_000) < 0.15).astype(int),  # ... of the other value
+                rng.integers(0, 2, 1_000),
+            ]
+        ).astype(dtype)
+        vectorized = HealthMonitor(window=64)
+        scalar = ScalarHealthMonitor(window=64)
+        position = 0
+        while position < bits.size:
+            step = int(rng.integers(5 * 64, 20 * 64))
+            chunk = bits[position : position + step]
+            assert vectorized.ingest(chunk) == scalar.ingest(chunk)
+            position += step
+        assert vectorized.alarms == scalar.alarms
+        references = {
+            alarm.detail.split()[3]
+            for alarm in vectorized.alarms
+            if alarm.test_name == "adaptive_proportion"
+        }
+        assert references == {"0", "1"}
+        assert vectorized.snapshot() == (
+            len(scalar.alarms),
+            scalar._position,
+            scalar._last_bit,
+            scalar._run_length,
+            scalar._window_reference,
+            scalar._window_count,
+            scalar._window_position,
+        )
+
     def test_single_bit_chunks(self):
         bits = np.concatenate([np.zeros(40, dtype=int), np.array([1, 0, 1, 0, 1])])
         vectorized = HealthMonitor(window=16)
@@ -349,6 +387,16 @@ class TestVectorizedEquivalence:
             "adaptive_proportion",
             "repetition_count",
         ]
+
+    def test_restore_rolls_back_to_a_snapshot(self):
+        monitor = HealthMonitor(window=64)
+        monitor.ingest(np.random.default_rng(18).integers(0, 2, 100))
+        snapshot = monitor.snapshot()
+        alarms = list(monitor.alarms)
+        assert monitor.ingest(np.zeros(300, dtype=int))
+        monitor.restore(snapshot)
+        assert monitor.snapshot() == snapshot
+        assert monitor.alarms == alarms
 
     def test_interleaved_order_within_one_bit(self):
         """When both tests fire on the same bit, repetition comes first."""

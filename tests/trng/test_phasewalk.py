@@ -8,7 +8,7 @@ import pytest
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
 from repro.simulation.noise import SinusoidalModulation, StepModulation
-from repro.trng.phasewalk import PhaseWalkTrng, reference_period_for_q
+from repro.trng.phasewalk import PhaseWalkTrng, generate_rows, reference_period_for_q
 from repro.trng.xored_rings import XoredRingTrng
 
 
@@ -146,6 +146,30 @@ class TestGenerate:
         model = make_model(sigma=2.0, reference=reference_period_for_q(1000.0, 2.0, 0.2))
         bits = model.generate(30_000, seed=5)
         assert run_battery(bits).all_passed
+
+
+class TestGenerateRows:
+    MODELS = (
+        make_model(),
+        make_model(period=1234.5, sigma=7.0, reference=250_000.0),
+        make_model(sigma=0.0),  # no jitter: no normals drawn
+    )
+
+    @pytest.mark.parametrize("bit_count", [1, 16, 512, 520])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_match_generate_in_sequence(self, bit_count, seed):
+        models = [self.MODELS[k % 3] for k in (0, 1, 1, 2, 0, 2, 1)]
+        sequential = np.random.default_rng(seed)
+        expected = np.stack([m.generate(bit_count, seed=sequential) for m in models])
+        batched = np.random.default_rng(seed)
+        rows = generate_rows(models, bit_count, batched)
+        assert rows.dtype == bool
+        assert np.array_equal(rows, expected)
+        assert batched.bit_generator.state == sequential.bit_generator.state
+
+    def test_rejects_empty_blocks(self):
+        with pytest.raises(ValueError):
+            generate_rows(self.MODELS, 0, np.random.default_rng(0))
 
 
 def _digest(bits):
