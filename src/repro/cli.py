@@ -7,7 +7,8 @@ Commands
 ``run <ID> [<ID> ...]``
     Run experiments by id and print their reports; exits non-zero if any
     structural check fails.  ``--jobs N`` fans grid-shaped experiments
-    (EXT10, EXT11, EXT12) out over worker processes; ``--no-cache``
+    (EXT10, EXT11, EXT12) out as N jobs, this process plus N - 1
+    workers; ``--no-cache``
     disables the on-disk result cache (EXT10, EXT12); ``--backend``
     picks the simulation engine (FIG11, FIG12).  A flag given to an
     experiment that does not take it exits 2 before anything runs.
@@ -894,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for grid-shaped experiments (0 = all cores)",
+        help="jobs for grid-shaped experiments: this process + N-1 workers (0 = all cores)",
     )
     run_parser.add_argument(
         "--no-cache", action="store_true", help="disable the on-disk result cache"
@@ -937,7 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for the campaign grid (0 = all cores)",
+        help="jobs for the campaign grid: this process + N-1 workers (0 = all cores)",
     )
     campaign_parser.add_argument(
         "--no-cache", action="store_true", help="disable the on-disk result cache"
@@ -974,7 +975,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for reassembly (normally all cache hits)",
+        help="jobs for reassembly: this process + N-1 workers (normally all cache hits)",
     )
     merge_parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON results"
@@ -1194,7 +1195,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for the --matrix campaign (0 = all cores)",
+        help="jobs for the --matrix campaign: this process + N-1 workers (0 = all cores)",
     )
     faults_parser.add_argument(
         "--no-cache", action="store_true", help="disable the on-disk result cache"
@@ -1246,7 +1247,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes over device chunks (0 = all cores)",
+        help="jobs over device chunks: this process + N-1 workers (0 = all cores)",
     )
     _add_telemetry_flags(puf_parser)
     puf_parser.set_defaults(handler=_command_puf)
@@ -1272,7 +1273,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for the claim sweep (0 = all cores)",
+        help="jobs for the claim sweep: this process + N-1 workers (0 = all cores)",
     )
     verify_parser.add_argument(
         "--no-cache", action="store_true", help="disable the on-disk result cache"

@@ -335,7 +335,8 @@ def run_campaign(
 
     The jitter simulations — the campaign's entire cost — are cut into
     independent seed-spawned segments (``segment_periods`` each) and
-    fanned out over ``jobs`` worker processes, consulting ``cache`` per
+    fanned out as ``jobs`` jobs (the caller plus ``jobs - 1`` workers),
+    consulting ``cache`` per
     segment.  Any job count produces bit-identical reports because the
     segment list and its seeds depend only on the arguments, never on
     scheduling.  The root ``seed`` must be an integer (or ``None``); a

@@ -146,7 +146,8 @@ def run(
     fault itself.
 
     The cells are independent supervised runs with per-cell seeds, so
-    the matrix fans out over ``jobs`` worker processes and caches per
+    the matrix fans out as ``jobs`` jobs (the caller plus ``jobs - 1``
+    workers) and caches per
     cell; results are identical for any job count.
     """
     board = board if board is not None else Board()

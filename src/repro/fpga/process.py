@@ -196,12 +196,14 @@ class ProcessVariation:
         draws_global = int(self.global_sigma_rel > 0.0)
         draws_local = lut_count if self.local_sigma_rel > 0.0 else 0
         normals = standard_normal_rows(seeds, draws_global + draws_local)
-        global_factors = np.ones(count)
-        lut_factors = np.ones((count, lut_count))
         if draws_global:
             global_factors = _positive_factors(normals[:, 0], self.global_sigma_rel)
+        else:
+            global_factors = np.ones(count)
         if draws_local:
             lut_factors = _positive_factors(normals[:, draws_global:], self.local_sigma_rel)
+        else:
+            lut_factors = np.ones((count, lut_count))
         return DeviceVariationBatch(global_factors=global_factors, lut_factors=lut_factors)
 
     @classmethod

@@ -17,8 +17,9 @@ without giving up reproducibility:
   package version), so re-running a campaign skips already-simulated
   points;
 * :mod:`repro.parallel.executor` — chunked scheduling of grid tasks
-  over a ``ProcessPoolExecutor`` with progress callbacks and a serial
-  fallback when ``jobs=1`` or the pool is unavailable;
+  over the calling process and a ``ProcessPoolExecutor`` of ``jobs - 1``
+  workers, with progress callbacks and a serial fallback when
+  ``jobs=1`` or the pool is unavailable;
 * :mod:`repro.parallel.sharding` — deterministic ``(shard_index,
   shard_count)`` partitioning of any grid, crash-safe per-shard output
   directories, and a merge step that reunites shard outputs into a
@@ -28,7 +29,8 @@ The design contract that makes parallel == serial == sharded exact:
 campaign drivers build one flat list of
 :class:`~repro.parallel.executor.GridTask` objects, each carrying its
 own derived seed, and the executor evaluates the *same* ``worker(task)``
-function either in-line, in worker processes, or in a shard subset.
+function either in-line, in the caller beside ``jobs - 1`` worker
+processes, or in a shard subset.
 Results are always returned in task order, and seeds are derived for the
 whole grid before any partitioning.
 """

@@ -11,17 +11,22 @@ bit-identical to serial ones:
 * the serial path runs the *same* worker in-line, so ``jobs=1`` is the
   reference implementation, not a different algorithm.
 
-Scheduling is chunked: tasks are dispatched to the pool in contiguous
-chunks (several tasks per inter-process round trip) sized so every
-worker gets a few chunks — large enough to amortize pickling, small
-enough to load-balance heterogeneous grids (an STR 96C point costs
-~20x an IRO 5C point).
+Scheduling is chunked and the caller works: ``jobs=n`` means ``n``
+concurrent computations, the calling process plus ``n - 1`` pool
+workers.  Tasks go out in contiguous chunks (several tasks per
+inter-process round trip) sized so every job gets a few chunks — large
+enough to amortize pickling, small enough to load-balance heterogeneous
+grids (an STR 96C point costs ~20x an IRO 5C point).  The pool takes
+chunks from the head of the list through a shallow queue, refilled as
+each pool chunk finishes; the caller takes them from the tail.
 
 If the pool cannot be used at all — ``jobs=1``, a sandbox without
 semaphores, an unpicklable worker or payload — the executor falls back
-to the serial path, recomputing any pending task.  Determinism makes
+to the serial path for every task not yet computed.  Determinism makes
 the fallback free of consistency concerns; a pool that fails is counted
-in ``repro.parallel.pool_fallbacks`` and logged as a warning.
+in ``repro.parallel.pool_fallbacks`` and logged as a warning.  An
+exception the worker function raises in a caller chunk is not a pool
+failure: it propagates as is.
 """
 
 from __future__ import annotations
@@ -29,9 +34,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.parallel.cache import MISSING, ResultCache
 from repro.telemetry import (
@@ -53,8 +59,11 @@ _log = get_logger("repro.parallel.executor")
 #: Called after each completed task with (done_count, total_count).
 ProgressCallback = Callable[[int, int], None]
 
-#: Chunks per worker the chunk-size heuristic aims for.
+#: Chunks per job the chunk-size heuristic aims for.
 _CHUNKS_PER_JOB = 4
+
+#: Chunks a pool worker may hold, queued or running, at one time.
+_QUEUE_PER_WORKER = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,9 +133,10 @@ def _execute_task(
 ) -> Any:
     """Run one task under its grid-point span and timing metrics.
 
-    Shared by the serial path and the pool workers so both produce the
-    same telemetry shape (span ``grid_point`` wrapping whatever the
-    worker itself records, e.g. the ring ``simulate`` span).
+    Shared by the serial path, the caller's chunks and the pool workers
+    so all produce the same telemetry shape (span ``grid_point``
+    wrapping whatever the worker itself records, e.g. the ring
+    ``simulate`` span).
     """
     with span("grid_point", kind=task.kind, seed=task.seed):
         start = time.perf_counter()
@@ -193,8 +203,9 @@ def run_grid(
         Module-level callable mapping a task to a JSON-serializable
         result (JSON-ability only matters when ``cache`` is set).
     jobs:
-        Worker process count; ``1`` runs serially in-process, ``None``
-        or ``0`` uses every core.
+        Concurrent computations: the calling process plus ``jobs - 1``
+        worker processes.  ``1`` runs serially in-process, ``None`` or
+        ``0`` uses every core.
     cache:
         Optional :class:`ResultCache`; hits skip the worker entirely and
         fresh results are written back.
@@ -231,43 +242,103 @@ def run_grid(
         if not pending:
             return results
 
+        def store(indices: List[int], values: List[Any]) -> None:
+            nonlocal done
+            for index, value in zip(indices, values):
+                results[index] = value
+                if cache is not None:
+                    task = tasks[index]
+                    cache.put(task.kind, task.spec, task.seed, value)
+            done += len(indices)
+            if progress is not None:
+                progress(done, total)
+
         job_count = resolve_jobs(jobs)
         registry.gauge("repro.parallel.jobs").set(job_count)
-        completed = False
+        remaining = pending
         if job_count > 1 and len(pending) > 1:
-            completed = _run_parallel(
-                tasks, pending, worker, job_count, cache, progress, done, total, results
-            )
-        if not completed:
-            _run_serial(tasks, pending, worker, cache, progress, done, total, results)
+            remaining = _run_parallel(tasks, pending, worker, job_count, store)
+        for index in remaining:
+            store([index], [_execute_task(worker, tasks[index], registry)])
         tele.set("executed", len(pending))
         return results
 
 
-def _store(
-    cache: Optional[ResultCache], task: GridTask, value: Any, results: List[Any], index: int
-) -> None:
-    results[index] = value
-    if cache is not None:
-        cache.put(task.kind, task.spec, task.seed, value)
+class _PoolFailure(Exception):
+    """A pool-layer error, as opposed to the worker function's own."""
 
 
-def _run_serial(
-    tasks: List[GridTask],
-    pending: List[int],
-    worker: Callable[[GridTask], Any],
-    cache: Optional[ResultCache],
-    progress: Optional[ProgressCallback],
-    done: int,
-    total: int,
-    results: List[Any],
-) -> None:
-    registry = default_registry()
-    for index in pending:
-        _store(cache, tasks[index], _execute_task(worker, tasks[index], registry), results, index)
-        done += 1
-        if progress is not None:
-            progress(done, total)
+class _PoolFeed:
+    """Keeps up to ``depth`` chunks from the head of the list in the pool.
+
+    Each pool chunk's done-callback, run on a pool thread, submits the
+    next chunk, so the workers stay fed while the caller is busy with a
+    chunk of its own, which it takes from the tail.  A failed submit or
+    chunk stops the feed and is kept in ``error``.
+    """
+
+    def __init__(
+        self, submit: Callable[[List[int]], Future], chunks: List[List[int]], depth: int
+    ) -> None:
+        self._submit = submit
+        self._chunks = chunks
+        self._depth = depth
+        # Re-entrant: a chunk already done when its callback is added
+        # runs the callback, and so ``top_up``, at once in this thread.
+        self._lock = threading.RLock()
+        self._running = 0
+        self._closed = False
+        self._head, self._tail = 0, len(chunks)
+        self._sent: Dict[Future, List[int]] = {}
+        self.sent_at: Dict[Future, float] = {}
+        self.finished_at: Dict[Future, float] = {}
+        self.error: Optional[BaseException] = None
+
+    def top_up(self) -> None:
+        with self._lock:
+            while (
+                not self._closed
+                and self.error is None
+                and self._head < self._tail
+                and self._running < self._depth
+            ):
+                chunk = self._chunks[self._head]
+                try:
+                    future = self._submit(chunk)
+                except Exception as error:
+                    self.error = error
+                    return
+                self._head += 1
+                self._running += 1
+                self._sent[future] = chunk
+                self.sent_at[future] = time.perf_counter()
+                future.add_done_callback(self._done)
+
+    def _done(self, future: Future) -> None:
+        with self._lock:
+            self.finished_at[future] = time.perf_counter()
+            self._running -= 1
+            if self.error is None:
+                self.error = future.exception()
+            self.top_up()
+
+    def take_tail(self) -> Optional[List[int]]:
+        """The caller's next chunk, or ``None`` once the two ends meet."""
+        with self._lock:
+            if self._head == self._tail:
+                return None
+            self._tail -= 1
+            return self._chunks[self._tail]
+
+    def uncollected(self, collected: Set[Future]) -> Dict[Future, List[int]]:
+        with self._lock:
+            return {f: chunk for f, chunk in self._sent.items() if f not in collected}
+
+    def close(self) -> List[List[int]]:
+        """Stop feeding; return the chunks neither side took."""
+        with self._lock:
+            self._closed = True
+            return self._chunks[self._head : self._tail]
 
 
 def _run_parallel(
@@ -275,69 +346,111 @@ def _run_parallel(
     pending: List[int],
     worker: Callable[[GridTask], Any],
     jobs: int,
-    cache: Optional[ResultCache],
-    progress: Optional[ProgressCallback],
-    done: int,
-    total: int,
-    results: List[Any],
-) -> bool:
-    """Try the pool; return False to request the serial fallback.
+    store: Callable[[List[int], List[Any]], None],
+) -> List[int]:
+    """Run the chunks in the caller and ``jobs - 1`` pool workers.
 
-    Any pool-layer failure — pickling, a broken worker process, an
-    environment without multiprocessing primitives — abandons the pool,
-    counted in ``repro.parallel.pool_fallbacks`` and logged as a
-    warning naming the exception type.  Genuine worker exceptions simply
-    reproduce on the serial retry (the computation is deterministic), so
-    nothing is silently swallowed.
+    The pool takes chunks from the head of the chunk list, at most
+    ``_QUEUE_PER_WORKER`` per worker at a time, topped up as each one
+    finishes (:class:`_PoolFeed`); the caller takes chunks from the
+    tail and collects finished pool chunks between its own, until the
+    two ends meet.  Every result is stored by task index, so the order
+    of completion never shows.
 
-    Each completed chunk ships its worker-side metrics snapshot home
-    (merged into the parent's default registry) and, when the parent is
-    tracing, its captured span/event/log records, which are re-emitted
-    into the parent sink with worker-root spans re-parented onto the
-    enclosing ``run_grid`` span.
+    An exception the worker function raises in a caller chunk propagates
+    unchanged.  Any pool-layer failure — pickling, a broken worker
+    process, an environment without multiprocessing primitives —
+    abandons the pool, counted in ``repro.parallel.pool_fallbacks`` and
+    logged as a warning naming the exception type; the pending indices it
+    returns are then run serially.  A worker exception inside the pool
+    counts as such a failure and simply reproduces on the serial retry
+    (the computation is deterministic), so nothing is silently swallowed.
+
+    Each pool chunk ships its worker-side metrics snapshot home (merged
+    into the parent's default registry) and, when the parent is tracing,
+    its captured span/event/log records, which are re-emitted into the
+    parent sink with worker-root spans re-parented onto the enclosing
+    ``run_grid`` span.  Caller chunks record straight into the parent's
+    registry and sink.
     """
     chunks = _chunk_indices(pending, jobs)
+    workers = min(jobs - 1, len(chunks) - 1)
     capture_trace = sink_enabled()
     registry = default_registry()
-    parent_span_id = None
     try:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-            submitted_at: Dict[Any, float] = {}
-            futures = {}
-            for chunk in chunks:
-                future = pool.submit(
-                    _run_chunk, worker, [tasks[i] for i in chunk], capture_trace
-                )
-                futures[future] = chunk
-                submitted_at[future] = time.perf_counter()
-            for future in as_completed(futures):
-                chunk = futures[future]
-                payload = future.result()
-                roundtrip_s = time.perf_counter() - submitted_at[future]
-                for index, value in zip(chunk, payload["values"]):
-                    _store(cache, tasks[index], value, results, index)
-                registry.merge(MetricsSnapshot.from_dict(payload["metrics"]))
-                registry.counter("repro.parallel.chunks").inc()
-                registry.histogram("repro.parallel.chunk_seconds").observe(roundtrip_s)
-                # Round trip minus worker compute = queueing + pickling
-                # overhead: the "why is my pool idle" number.
-                registry.histogram("repro.parallel.queue_wait_seconds").observe(
-                    max(0.0, roundtrip_s - payload["busy_s"])
-                )
-                if payload["records"]:
-                    if parent_span_id is None:
-                        parent_span_id = current_span_id()
-                    for record in payload["records"]:
-                        if record.get("parent_id") is None:
-                            record["parent_id"] = parent_span_id
-                        emit_raw(record)
-                done += len(chunk)
-                if progress is not None:
-                    progress(done, total)
+        pool = ProcessPoolExecutor(max_workers=workers)
     except Exception as error:
-        registry.counter("repro.parallel.pool_fallbacks").inc()
-        _log.warning(
-            "executor.pool_fallback", error=type(error).__name__, pending=len(pending)
+        return _fall_back(registry, error, pending)
+    feed = _PoolFeed(
+        lambda chunk: pool.submit(
+            _run_chunk, worker, [tasks[i] for i in chunk], capture_trace
+        ),
+        chunks,
+        _QUEUE_PER_WORKER * workers,
+    )
+    collected: Set[Future] = set()
+
+    def collect(futures: Dict[Future, List[int]], block: bool) -> None:
+        for future in as_completed(futures) if block else futures:
+            if not future.done():
+                continue
+            error = future.exception()
+            if error is not None:
+                raise _PoolFailure() from error
+            payload = future.result()
+            store(futures[future], payload["values"])
+            collected.add(future)
+            roundtrip_s = feed.finished_at.get(future, time.perf_counter()) - feed.sent_at[future]
+            _merge_chunk(registry, payload, roundtrip_s)
+
+    try:
+        # Reserve the caller's chunk before topping up, so even a short
+        # list leaves the caller one.
+        while (mine := feed.take_tail()) is not None:
+            feed.top_up()
+            store(mine, [_execute_task(worker, tasks[i], registry) for i in mine])
+            registry.counter("repro.parallel.caller_chunks").inc()
+            if feed.error is not None:
+                raise _PoolFailure() from feed.error
+            collect(feed.uncollected(collected), block=False)
+        collect(feed.uncollected(collected), block=True)
+    except _PoolFailure as failure:
+        unrun = [*feed.close(), *feed.uncollected(collected).values()]
+        return _fall_back(
+            registry, failure.__cause__, sorted(i for chunk in unrun for i in chunk)
         )
-        return False
-    return True
+    finally:
+        feed.close()
+        # Not ``cancel_futures=True``: after a pickling failure it can
+        # hang the shutdown (CPython 3.11), and the queue is shallow.
+        pool.shutdown(wait=True)
+    return []
+
+
+def _fall_back(
+    registry: MetricsRegistry, error: Optional[BaseException], left: List[int]
+) -> List[int]:
+    """Count and log an abandoned pool; return the indices left to run."""
+    registry.counter("repro.parallel.pool_fallbacks").inc()
+    _log.warning("executor.pool_fallback", error=type(error).__name__, pending=len(left))
+    return left
+
+
+def _merge_chunk(
+    registry: MetricsRegistry, payload: Dict[str, Any], roundtrip_s: float
+) -> None:
+    """Fold one pool chunk's metrics and trace records into the parent."""
+    registry.merge(MetricsSnapshot.from_dict(payload["metrics"]))
+    registry.counter("repro.parallel.chunks").inc()
+    registry.histogram("repro.parallel.chunk_seconds").observe(roundtrip_s)
+    # Round trip minus worker compute = queueing + pickling overhead:
+    # the "why is my pool idle" number.
+    registry.histogram("repro.parallel.queue_wait_seconds").observe(
+        max(0.0, roundtrip_s - payload["busy_s"])
+    )
+    if payload["records"]:
+        parent_span_id = current_span_id()
+        for record in payload["records"]:
+            if record.get("parent_id") is None:
+                record["parent_id"] = parent_span_id
+            emit_raw(record)

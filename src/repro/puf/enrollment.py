@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -227,20 +227,62 @@ def population_frequencies(
     ``measure_periods > 0`` adds the noise of a real frequency counter
     averaging that many periods; it requires ``rng``.
     """
-    lut_factors = np.asarray(batch.lut_factors, dtype=float)[:, tables.lut_index]
-    global_factors = np.asarray(batch.global_factors, dtype=float)[:, None, None]
-    lut_delays = tables.lut_delay_ps[None, :, :] * global_factors * lut_factors
-    route_delays = tables.route_delay_ps[None, :, :] * global_factors
-    periods_ps = 2.0 * (lut_delays + route_delays).sum(axis=2)
-    if measure_periods:
-        if rng is None:
-            raise ValueError("measurement noise (measure_periods > 0) needs an rng")
-        sigmas = tables.jitter_sigma_ps[None, :, :] * global_factors * lut_factors
-        period_variance = 2.0 * np.sum(sigmas * sigmas, axis=2)
-        periods_ps = periods_ps + rng.standard_normal(
-            periods_ps.shape
-        ) * np.sqrt(period_variance / measure_periods)
-    return 1.0e6 / periods_ps
+    return _StageKernel(batch, tables.lut_index).frequencies(tables, measure_periods, rng)
+
+
+class _StageKernel:
+    """A device batch's ``(device, ring, stage)`` LUT factors and buffers.
+
+    Every corner of a design shares its placements, so one gather serves
+    them all.  ``take`` lays the gather out C-ordered, where
+    ``lut_factors[:, lut_index]`` would not, and the two reused buffers
+    follow it: the stage reduce of another layout would add, and so
+    round, in another order.
+    """
+
+    def __init__(self, batch: DeviceVariationBatch, lut_index: np.ndarray) -> None:
+        self.lut_factors = np.take(
+            np.asarray(batch.lut_factors, dtype=float), lut_index, axis=1
+        )
+        self.global_factors = np.asarray(batch.global_factors, dtype=float)[:, None, None]
+        self._delays = np.empty_like(self.lut_factors)
+        self._scratch = np.empty_like(self.lut_factors)
+
+    def frequencies(
+        self,
+        tables: CornerTables,
+        measure_periods: int,
+        rng: Optional[np.random.Generator],
+    ) -> np.ndarray:
+        """Measured ``(device, ring)`` frequencies [MHz] at one corner.
+
+        The in-place ops are the float operations of::
+
+            lut_delays   = lut_delay_ps * global_factors * lut_factors
+            route_delays = route_delay_ps * global_factors
+            periods_ps   = 2.0 * (lut_delays + route_delays).sum(axis=2)
+
+        in that order, so the result is bit-identical to the broadcast
+        formula.  The stage sum stays one NumPy reduce: from 8 stages it
+        sums pairwise, which a running stage-by-stage sum would not
+        reproduce.
+        """
+        delays, scratch = self._delays, self._scratch
+        lut_factors, global_factors = self.lut_factors, self.global_factors
+        np.multiply(tables.lut_delay_ps[None, :, :], global_factors, out=delays)
+        np.multiply(delays, lut_factors, out=delays)
+        np.multiply(tables.route_delay_ps[None, :, :], global_factors, out=scratch)
+        periods_ps = 2.0 * np.add(delays, scratch, out=delays).sum(axis=2)
+        if measure_periods:
+            if rng is None:
+                raise ValueError("measurement noise (measure_periods > 0) needs an rng")
+            np.multiply(tables.jitter_sigma_ps[None, :, :], global_factors, out=scratch)
+            np.multiply(scratch, lut_factors, out=scratch)
+            period_variance = 2.0 * np.sum(np.multiply(scratch, scratch, out=scratch), axis=2)
+            periods_ps = periods_ps + rng.standard_normal(
+                periods_ps.shape
+            ) * np.sqrt(period_variance / measure_periods)
+        return 1.0e6 / periods_ps
 
 
 # ----------------------------------------------------------------------
@@ -251,6 +293,10 @@ def _measure_chunk_worker(task: GridTask):
 
     The per-corner tables arrive resolved in the payload: they depend
     only on the design, the corner and the constants, never the chunk.
+    The chunk gathers its ``(device, ring, stage)`` LUT factors once for
+    all corners (see :class:`_StageKernel`).  With a noiseless
+    readout a repeated corner measures exactly what its first occurrence
+    did, so it gets a copy of those response bits.
     """
     payload = task.payload
     design: PufDesign = payload["design"]
@@ -261,9 +307,15 @@ def _measure_chunk_worker(task: GridTask):
         root_entropy(payload["root"]), np.arange(payload["start"], payload["stop"])
     )
     batch = process.sample_devices(payload["lut_count"], device_seeds)
+    kernel = _StageKernel(batch, tables_by_corner[0].lut_index)
     responses: List[np.ndarray] = []
+    first_corner: Dict[SupplySpec, int] = {}
     frequency_sum = 0.0
     for corner_index, tables in enumerate(tables_by_corner):
+        if not design.measure_periods and tables.supply in first_corner:
+            responses.append(responses[first_corner[tables.supply]].copy())
+            continue
+        first_corner.setdefault(tables.supply, corner_index)
         rng: Optional[np.random.Generator] = None
         if design.measure_periods:
             noise_root = payload["noise_root"]
@@ -275,9 +327,7 @@ def _measure_chunk_worker(task: GridTask):
                         (int(noise_root), corner_index, int(payload["start"]))
                     )
                 )
-        frequencies = population_frequencies(
-            batch, tables, measure_periods=design.measure_periods, rng=rng
-        )
+        frequencies = kernel.frequencies(tables, design.measure_periods, rng)
         if corner_index == 0:
             frequency_sum = float(frequencies.sum())
         responses.append(

@@ -117,3 +117,111 @@ class TestExecutorCache:
         assert cache.stats().entry_count == 8
         warm = run_grid(tasks, _rng_worker, jobs=1, cache=cache)
         assert warm == parallel
+
+
+def _pid_worker(task):
+    import os
+
+    return os.getpid()
+
+
+_CALLER_CALLS = []
+
+
+def _failing_tail_worker(task):
+    """Fails on the last task, the one the caller takes from the tail."""
+    _CALLER_CALLS.append(task.seed)
+    if task.seed == task.payload:
+        raise RuntimeError(f"task {task.seed} failed")
+    return task.seed
+
+
+def _marker_worker(task):
+    """Every task leaves a marker; the last one waits for all the others.
+
+    The last task is in the caller's tail chunk, so it returns True only
+    if the pool ran every other chunk while the caller was busy here.
+    """
+    import os
+    import time
+
+    directory, count = task.payload
+    if task.seed < count - 1:
+        open(os.path.join(directory, str(task.seed)), "w").close()
+        return os.getpid()
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        if len(os.listdir(directory)) == count - 1:
+            return True
+        time.sleep(0.01)
+    return False
+
+
+def _counter(name):
+    return default_registry().counter(name).value
+
+
+class TestCallerIsAJob:
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_results_cache_and_progress_match_serial(self, tmp_path, jobs):
+        tasks = _tasks(11, payload=128)
+        serial_cache = ResultCache(root=tmp_path / "serial", version="1")
+        parallel_cache = ResultCache(root=tmp_path / "parallel", version="1")
+        serial_calls, parallel_calls = [], []
+        serial = run_grid(
+            tasks, _rng_worker, jobs=1, cache=serial_cache,
+            progress=lambda d, t: serial_calls.append((d, t)),
+        )
+        parallel = run_grid(
+            tasks, _rng_worker, jobs=jobs, cache=parallel_cache,
+            progress=lambda d, t: parallel_calls.append((d, t)),
+        )
+        assert parallel == serial
+        for task, value in zip(tasks, serial):
+            assert parallel_cache.get(task.kind, task.spec, task.seed) == value
+        assert parallel_cache.stats().entry_count == serial_cache.stats().entry_count
+        done = [d for d, _ in parallel_calls]
+        assert done == sorted(done)
+        assert parallel_calls[0] == serial_calls[0] == (0, 11)
+        assert parallel_calls[-1] == serial_calls[-1] == (11, 11)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_caller_plus_at_most_jobs_minus_one_workers(self, jobs):
+        import os
+
+        pids = set(run_grid(_tasks(12), _pid_worker, jobs=jobs))
+        assert os.getpid() in pids
+        assert len(pids - {os.getpid()}) <= jobs - 1
+
+    def test_two_chunks_split_between_caller_and_worker(self):
+        import os
+
+        caller = _counter("repro.parallel.caller_chunks")
+        chunks = _counter("repro.parallel.chunks")
+        pids = run_grid(_tasks(2), _pid_worker, jobs=2)
+        assert pids[1] == os.getpid()  # the caller takes the tail
+        assert pids[0] != os.getpid()
+        assert _counter("repro.parallel.caller_chunks") == caller + 1
+        assert _counter("repro.parallel.chunks") == chunks + 1
+
+    def test_pool_is_fed_while_the_caller_is_busy(self, tmp_path):
+        import os
+
+        count = 16
+        tasks = [
+            GridTask(kind="unit", spec={"i": i}, seed=i, payload=(str(tmp_path), count))
+            for i in range(count)
+        ]
+        results = run_grid(tasks, _marker_worker, jobs=2)
+        assert results[-1] is True
+        # the caller ran only its first tail chunk; one worker ran the rest
+        assert results[-2] == os.getpid()
+        assert len(set(results[:-2])) == 1 and os.getpid() not in results[:-2]
+
+    def test_caller_chunk_exception_propagates_without_fallback(self):
+        fallbacks = _counter("repro.parallel.pool_fallbacks")
+        _CALLER_CALLS.clear()
+        with pytest.raises(RuntimeError, match="task 1 failed"):
+            run_grid(_tasks(2, payload=1), _failing_tail_worker, jobs=2)
+        assert _CALLER_CALLS == [1]  # run once, in the caller, not retried
+        assert _counter("repro.parallel.pool_fallbacks") == fallbacks

@@ -7,9 +7,12 @@ from repro.fpga.board import Board
 from repro.fpga.calibration import TABLE2_PROCESS
 from repro.fpga.device import TimingConstants
 from repro.fpga.voltage import SupplySpec
+from repro.parallel import GridTask
+from repro.parallel.seeds import child_seeds, root_entropy
 from repro.puf.enrollment import (
     CHUNK_DEVICES,
     PufDesign,
+    _measure_chunk_worker,
     corner_tables,
     enroll_population,
     measure_population,
@@ -17,7 +20,25 @@ from repro.puf.enrollment import (
     required_lut_count,
     ring_placements,
 )
+from repro.puf.metrics import score_population
+from repro.puf.topology import derive_response_bits
 from repro.rings.iro import InverterRingOscillator
+
+
+def _broadcast_frequencies(batch, tables, measure_periods=0, rng=None):
+    """The broadcast formula the chunk kernel must reproduce bit for bit."""
+    lut_factors = np.asarray(batch.lut_factors, dtype=float)[:, tables.lut_index]
+    global_factors = np.asarray(batch.global_factors, dtype=float)[:, None, None]
+    lut_delays = tables.lut_delay_ps[None, :, :] * global_factors * lut_factors
+    route_delays = tables.route_delay_ps[None, :, :] * global_factors
+    periods_ps = 2.0 * (lut_delays + route_delays).sum(axis=2)
+    if measure_periods:
+        sigmas = tables.jitter_sigma_ps[None, :, :] * global_factors * lut_factors
+        period_variance = 2.0 * np.sum(sigmas * sigmas, axis=2)
+        periods_ps = periods_ps + rng.standard_normal(
+            periods_ps.shape
+        ) * np.sqrt(period_variance / measure_periods)
+    return 1.0e6 / periods_ps
 
 
 class TestPufDesign:
@@ -120,6 +141,91 @@ class TestFrequencyKernel:
             return float(np.std(samples - clean))
 
         assert spread(4096) < spread(64) / 4
+
+
+KERNEL_CASES = [
+    pytest.param(stages, policy, periods, id=f"{stages}C-{policy}-{periods}p")
+    for stages in (1, 3, 8, 9, 16)
+    for policy in ("aligned", "sequential")
+    for periods in (0, 64)
+]
+
+
+class TestChunkKernel:
+    """The chunk worker's hoisted gather and reused buffers change no bit."""
+
+    CORNERS = (
+        SupplySpec(),
+        SupplySpec(),
+        SupplySpec(voltage_v=1.0),
+        SupplySpec(temperature_c=100.0),
+    )
+
+    @pytest.mark.parametrize("stages, policy, periods", KERNEL_CASES)
+    def test_population_frequencies_equal_broadcast_formula(self, stages, policy, periods):
+        design = PufDesign(ring_count=8, stage_count=stages, placement_policy=policy)
+        batch = TABLE2_PROCESS.sample_device_batch(required_lut_count(design), 40, seed=3)
+        for corner in self.CORNERS[1:]:
+            tables = corner_tables(design, corner)
+            assert np.array_equal(
+                population_frequencies(
+                    batch, tables, measure_periods=periods, rng=np.random.default_rng(5)
+                ),
+                _broadcast_frequencies(batch, tables, periods, np.random.default_rng(5)),
+            )
+
+    @pytest.mark.parametrize("stages, policy, periods", KERNEL_CASES)
+    def test_chunk_worker_equals_broadcast_formula(self, stages, policy, periods):
+        design = PufDesign(
+            ring_count=8, stage_count=stages, placement_policy=policy, measure_periods=periods
+        )
+        tables = tuple(corner_tables(design, corner) for corner in self.CORNERS)
+        start, stop, root, noise_root = CHUNK_DEVICES, CHUNK_DEVICES + 150, 21, 4
+        payload = {
+            "design": design,
+            "tables": tables,
+            "lut_count": required_lut_count(design),
+            "process": TABLE2_PROCESS,
+            "root": root,
+            "noise_root": noise_root,
+            "start": start,
+            "stop": stop,
+        }
+        result = _measure_chunk_worker(GridTask(kind="puf_enroll", spec={}, payload=payload))
+
+        batch = TABLE2_PROCESS.sample_devices(
+            payload["lut_count"], child_seeds(root_entropy(root), np.arange(start, stop))
+        )
+        for index, corner_tables_ in enumerate(tables):
+            rng = np.random.default_rng(np.random.SeedSequence((noise_root, index, start)))
+            expected = _broadcast_frequencies(batch, corner_tables_, periods, rng)
+            if index == 0:
+                assert result["frequency_sum"] == float(expected.sum())
+            assert np.array_equal(
+                result["responses"][index],
+                derive_response_bits(expected, design.topology, design.group_size),
+            )
+        # the repeated nominal corner is a copy, never a view of the first
+        assert not np.shares_memory(result["responses"][0], result["responses"][1])
+
+
+class TestRepeatedCorners:
+    def test_noiseless_remeasure_row_is_exact(self):
+        score = score_population(300, design=PufDesign(ring_count=8), seed=4)
+        remeasure = score.reliability[0]
+        assert remeasure.label == "re-measure"
+        assert remeasure.mean_intra_hd == 0.0
+
+    def test_noisy_corners_keep_their_own_streams(self):
+        design = PufDesign(ring_count=16, stage_count=3, measure_periods=64)
+        score = score_population(300, design=design, seed=4)
+        assert 0.0 < score.reliability[0].mean_intra_hd < 0.1
+        measurement = measure_population(
+            300, design=design, corners=(SupplySpec(),) * 3, seed=4
+        )
+        first, second, third = measurement.responses
+        assert not np.array_equal(first, second)
+        assert not np.array_equal(second, third)
 
 
 class TestEnrollment:

@@ -25,8 +25,8 @@ class TestExecutorShipping:
         with use_registry(registry):
             results = run_grid(tasks, _double, jobs=2)
         assert results == [i * 2 for i in range(6)]
-        # Executed in worker processes, yet the parent registry holds
-        # the aggregate: the snapshots were shipped home and merged.
+        # Partly executed in a worker process, yet the parent registry
+        # holds the aggregate: the snapshots were shipped home and merged.
         assert registry.counter("repro.parallel.tasks").value == 6
         assert registry.counter("repro.parallel.tasks_submitted").value == 6
         assert registry.histogram("repro.parallel.task_seconds").count == 6
