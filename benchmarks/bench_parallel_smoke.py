@@ -10,6 +10,12 @@ the two executor-layer contracts end to end:
 Wall-clock speedup depends on the machine, so it is only *asserted*
 when ``REPRO_MIN_SPEEDUP`` is set (CI sets a conservative floor; a quiet
 4-core box reaches ~2.5x+); otherwise it is printed for information.
+One serial/``jobs=4`` pair is not enough to gate on: on a shared 2-vCPU
+host its ratio read 1.24x-2.12x on unchanged code.  The speedup is
+therefore the median of the ratios of alternating pairs, serial first in
+one pair and parallel first in the next, as in the telemetry-overhead
+A/B: load drift that spans a pair cancels within it, and one pair hit
+by a burst of load moves the median by one rank.
 
 These are plain tests (no ``benchmark`` fixture), so
 ``--benchmark-only`` runs skip them; CI invokes this file explicitly.
@@ -18,6 +24,7 @@ These are plain tests (no ``benchmark`` fixture), so
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 from repro.core.campaign import RingSpec, run_campaign
@@ -42,19 +49,36 @@ def _campaign(jobs, cache=None):
     return report.to_json(), time.perf_counter() - start
 
 
-def test_parallel_campaign_identity_and_speedup(tmp_path):
-    serial_json, serial_s = _campaign(1)
-    parallel_json, parallel_s = _campaign(4)
-    assert parallel_json == serial_json, "parallel campaign diverged from serial"
+#: Serial/parallel pairs behind the speedup; odd, so the median is one pair's ratio.
+_PAIRS = 5
 
-    speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
+
+def _pair(serial_first):
+    """``(serial_json, parallel_json, serial_s / parallel_s)`` of two back-to-back runs."""
+    if serial_first:
+        serial_json, serial_s = _campaign(1)
+        parallel_json, parallel_s = _campaign(4)
+    else:
+        parallel_json, parallel_s = _campaign(4)
+        serial_json, serial_s = _campaign(1)
+    return serial_json, parallel_json, serial_s / parallel_s
+
+
+def test_parallel_campaign_identity_and_speedup(tmp_path):
+    speedups = []
+    for pair in range(_PAIRS):
+        serial_json, parallel_json, speedup = _pair(serial_first=pair % 2 == 0)
+        assert parallel_json == serial_json, "parallel campaign diverged from serial"
+        speedups.append(speedup)
+
+    speedup = statistics.median(speedups)
     print(
-        f"\nserial {serial_s:.2f}s  jobs=4 {parallel_s:.2f}s  "
-        f"speedup {speedup:.2f}x  cores {os.cpu_count()}"
+        f"\nserial / jobs=4 over {_PAIRS} pairs: median {speedup:.2f}x  "
+        f"range {min(speedups):.2f}-{max(speedups):.2f}x  cores {os.cpu_count()}"
     )
     floor = float(os.environ.get("REPRO_MIN_SPEEDUP", "0"))
     assert speedup >= floor, (
-        f"speedup {speedup:.2f}x below required {floor:g}x "
+        f"median speedup {speedup:.2f}x below required {floor:g}x "
         f"(cores: {os.cpu_count()})"
     )
 

@@ -34,9 +34,8 @@ import dataclasses
 import math
 from typing import Optional
 
-from scipy.optimize import brentq
-
 from repro.core.charlie import CharlieDiagram
+from repro.rootfind import brentq
 from repro.units import period_ps_to_mhz
 
 
@@ -175,7 +174,7 @@ def solve_steady_state(
             f"steady-state bracket too small: residual({upper}) > 0 for "
             f"L={stage_count}, NT={token_count}"
         )
-    hop_delay = float(brentq(residual, lower, upper, xtol=1e-9))
+    hop_delay = brentq(residual, lower, upper, xtol=1e-9)
     separation = (rho - 1.0) * hop_delay
     period = 2.0 * stage_count * hop_delay / token_count
     return SteadyState(

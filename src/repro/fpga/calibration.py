@@ -35,7 +35,6 @@ import functools
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.fpga.device import TimingConstants
 from repro.fpga.placement import place_ring
@@ -46,6 +45,7 @@ from repro.fpga.voltage import (
     NOMINAL_CORE_VOLTAGE,
     VoltageSensitivity,
 )
+from repro.rootfind import brentq
 from repro.units import mhz_to_period_ps
 
 
@@ -231,7 +231,7 @@ def fit_confinement_from_table1(
         def residual(beta: float, route=route, penalty=penalty, target=row.delta_f) -> float:
             return _str_delta_f(constants, route, penalty, beta) - target
 
-        beta = float(brentq(residual, 0.0, 3.0, xtol=1e-10))
+        beta = brentq(residual, 0.0, 3.0, xtol=1e-10)
         lengths.append(row.stage_count)
         penalties.append(penalty)
         betas.append(beta)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,6 +48,8 @@ def check_normality(samples: np.ndarray, alpha: float = 0.01) -> NormalityReport
     Shapiro-Wilk below 5000 samples, D'Agostino K^2 above (Shapiro-Wilk
     p-values are unreliable for very large n).
     """
+    from scipy import stats as scipy_stats  # over a second to import: only when a test runs
+
     array = np.asarray(samples, dtype=float)
     if array.ndim != 1:
         raise ValueError("samples must be one-dimensional")

@@ -18,8 +18,17 @@ import math
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
-from scipy import special as scipy_special
-from scipy import stats as scipy_stats
+
+
+def _igamc(a: float, x: float) -> float:
+    """The regularised upper incomplete gamma function ``Q(a, x)`` (NIST's ``igamc``).
+
+    ``scipy.special`` is imported here, at the first test that needs it,
+    so importing the battery loads no scipy.
+    """
+    from scipy.special import gammaincc
+
+    return float(gammaincc(a, x))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,7 +103,7 @@ def block_frequency_test(bits: Sequence[int], block_size: int = 128, alpha: floa
     blocks = array[: block_count * block_size].reshape(block_count, block_size)
     proportions = blocks.mean(axis=1)
     chi_squared = 4.0 * block_size * float(np.sum((proportions - 0.5) ** 2))
-    p_value = float(scipy_special.gammaincc(block_count / 2.0, chi_squared / 2.0))
+    p_value = _igamc(block_count / 2.0, chi_squared / 2.0)
     return TestResult.from_p_value("block_frequency", p_value, chi_squared, alpha)
 
 
@@ -149,7 +158,7 @@ def longest_run_test(bits: Sequence[int], alpha: float = 0.01) -> TestResult:
         counts[index] = np.count_nonzero(clipped == category)
     expected = block_count * np.asarray(probabilities)
     chi_squared = float(np.sum((counts - expected) ** 2 / expected))
-    p_value = float(scipy_special.gammaincc((len(categories) - 1) / 2.0, chi_squared / 2.0))
+    p_value = _igamc((len(categories) - 1) / 2.0, chi_squared / 2.0)
     return TestResult.from_p_value("longest_run", p_value, chi_squared, alpha)
 
 
@@ -174,17 +183,19 @@ def cumulative_sums_test(bits: Sequence[int], alpha: float = 0.01) -> TestResult
     n = array.size
     if z == 0.0:
         return TestResult.from_p_value("cumulative_sums", 0.0, 0.0, alpha)
+    from scipy.special import ndtr  # the standard normal CDF that scipy.stats.norm.cdf evaluates
+
     total = 0.0
     sqrt_n = math.sqrt(n)
     start_one = int(math.floor((-n / z + 1.0) / 4.0))
     end_one = int(math.floor((n / z - 1.0) / 4.0))
     for k in range(start_one, end_one + 1):
-        total += scipy_stats.norm.cdf((4 * k + 1) * z / sqrt_n)
-        total -= scipy_stats.norm.cdf((4 * k - 1) * z / sqrt_n)
+        total += ndtr((4 * k + 1) * z / sqrt_n)
+        total -= ndtr((4 * k - 1) * z / sqrt_n)
     start_two = int(math.floor((-n / z - 3.0) / 4.0))
     for k in range(start_two, end_one + 1):
-        total -= scipy_stats.norm.cdf((4 * k + 3) * z / sqrt_n)
-        total += scipy_stats.norm.cdf((4 * k + 1) * z / sqrt_n)
+        total -= ndtr((4 * k + 3) * z / sqrt_n)
+        total += ndtr((4 * k + 1) * z / sqrt_n)
     p_value = 1.0 - total
     p_value = min(max(p_value, 0.0), 1.0)
     return TestResult.from_p_value("cumulative_sums", p_value, z, alpha)
@@ -227,8 +238,8 @@ def serial_test(bits: Sequence[int], pattern_length: int = 3, alpha: float = 0.0
     psi_m2 = _psi_squared(array, pattern_length - 2)
     delta1 = psi_m - psi_m1
     delta2 = psi_m - 2.0 * psi_m1 + psi_m2
-    p_value1 = float(scipy_special.gammaincc(2 ** (pattern_length - 2), delta1 / 2.0))
-    p_value2 = float(scipy_special.gammaincc(2 ** (pattern_length - 3), delta2 / 2.0))
+    p_value1 = _igamc(2 ** (pattern_length - 2), delta1 / 2.0)
+    p_value2 = _igamc(2 ** (pattern_length - 3), delta2 / 2.0)
     p_value = min(p_value1, p_value2)
     return TestResult.from_p_value(f"serial_m{pattern_length}", p_value, delta1, alpha)
 
@@ -251,7 +262,7 @@ def approximate_entropy_test(
 
     ap_en = phi(pattern_length) - phi(pattern_length + 1)
     chi_squared = 2.0 * n * (math.log(2.0) - ap_en)
-    p_value = float(scipy_special.gammaincc(2 ** (pattern_length - 1), chi_squared / 2.0))
+    p_value = _igamc(2 ** (pattern_length - 1), chi_squared / 2.0)
     return TestResult.from_p_value(
         f"approximate_entropy_m{pattern_length}", p_value, chi_squared, alpha
     )

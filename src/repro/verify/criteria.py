@@ -19,6 +19,11 @@ oscillator-jitter statistics carry confidence bounds:
 Everything returns a small frozen dataclass with a ``passed`` flag and
 a human-readable ``describe()`` so claim outcomes explain themselves in
 reports and replay bundles.
+
+The t and normal quantiles come from the ``scipy.special`` functions
+that ``scipy.stats.t`` and ``scipy.stats.norm`` evaluate (``stdtrit``,
+``stdtr``, ``ndtri``), imported at the call: the values are the same,
+and ``scipy.stats`` (over a second of import time) stays unloaded.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import math
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 
 def _sample_stats(samples: Sequence[float]) -> Tuple[int, float, float]:
@@ -57,7 +61,9 @@ def mean_confidence_interval(
     n, mean, se = _sample_stats(samples)
     if n == 1 or se == 0.0:
         return mean, mean, mean
-    half = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1)) * se
+    from scipy.special import stdtrit  # t.ppf(q, df) is stdtrit(df, q)
+
+    half = float(stdtrit(n - 1, 0.5 + confidence / 2.0)) * se
     return mean, mean - half, mean + half
 
 
@@ -105,11 +111,13 @@ def tost(
         inside = abs(mean - target) < margin
         p = 0.0 if inside else 1.0
         return TostResult(inside, mean, target, margin, p, p, n)
+    from scipy.special import stdtr  # t.cdf(x, df) is stdtr(df, x), t.sf(x, df) stdtr(df, -x)
+
     df = n - 1
     t_lower = (mean - (target - margin)) / se
     t_upper = (mean - (target + margin)) / se
-    p_lower = float(_scipy_stats.t.sf(t_lower, df=df))  # H0: mean <= target - margin
-    p_upper = float(_scipy_stats.t.cdf(t_upper, df=df))  # H0: mean >= target + margin
+    p_lower = float(stdtr(df, -t_lower))  # H0: mean <= target - margin
+    p_upper = float(stdtr(df, t_upper))  # H0: mean >= target + margin
     passed = max(p_lower, p_upper) < alpha
     return TostResult(passed, mean, target, margin, p_lower, p_upper, n)
 
@@ -175,7 +183,9 @@ def _one_sided_limit(
     n, mean, se = _sample_stats(samples)
     if n == 1 or se == 0.0:
         return n, mean, mean
-    half = float(_scipy_stats.t.ppf(confidence, df=n - 1)) * se
+    from scipy.special import stdtrit
+
+    half = float(stdtrit(n - 1, confidence)) * se
     return n, mean, mean + half if side == "upper" else mean - half
 
 
@@ -210,7 +220,9 @@ def wilson_interval(
         raise ValueError(f"successes {successes} out of range for {trials} trials")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    z = float(_scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    from scipy.special import ndtri  # norm.ppf
+
+    z = float(ndtri(0.5 + confidence / 2.0))
     p = successes / trials
     denom = 1.0 + z * z / trials
     centre = (p + z * z / (2.0 * trials)) / denom

@@ -1,7 +1,10 @@
 """Randomness test battery."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.stats.randomness import (
     autocorrelation_test,
@@ -94,6 +97,31 @@ class TestIndividualTests:
     def test_minimum_length_enforced(self):
         with pytest.raises(ValueError):
             monobit_test(np.ones(50, dtype=int))
+
+
+def _cusum_p_value_with_norm_cdf(bits):
+    """The cumulative-sums p-value summed with ``scipy.stats.norm.cdf``."""
+    partial = np.cumsum(2 * np.asarray(bits) - 1)
+    z = float(np.max(np.abs(partial)))
+    n = len(bits)
+    total = 0.0
+    sqrt_n = math.sqrt(n)
+    end_one = int(math.floor((n / z - 1.0) / 4.0))
+    for k in range(int(math.floor((-n / z + 1.0) / 4.0)), end_one + 1):
+        total += stats.norm.cdf((4 * k + 1) * z / sqrt_n)
+        total -= stats.norm.cdf((4 * k - 1) * z / sqrt_n)
+    for k in range(int(math.floor((-n / z - 3.0) / 4.0)), end_one + 1):
+        total -= stats.norm.cdf((4 * k + 3) * z / sqrt_n)
+        total += stats.norm.cdf((4 * k + 1) * z / sqrt_n)
+    return min(max(1.0 - total, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("size,threshold", [(100, 0.5), (1000, 0.5), (60_000, 0.5), (4096, 0.52)])
+def test_cumulative_sums_equals_the_norm_cdf_sum(size, threshold):
+    """``ndtr`` is the function ``norm.cdf`` evaluates: same p-value, bit for bit."""
+    for seed in range(5):
+        bits = (np.random.default_rng(seed).random(size) < threshold).astype(int)
+        assert cumulative_sums_test(bits).p_value == _cusum_p_value_with_norm_cdf(bits)
 
 
 class TestBattery:

@@ -1,7 +1,11 @@
 """Online health tests."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.trng.health import (
     HealthMonitor,
@@ -57,6 +61,57 @@ class TestCutoffs:
                 adaptive_proportion_cutoff(0.0)
             with pytest.raises(ValueError):
                 adaptive_proportion_cutoff(0.9, window=8)
+
+
+# (window, H grid): every H in 0.01..1.00 on the small windows, a coarser
+# grid on the large ones, where one exact quantile takes 25-100 ms.
+_FULL_H = tuple(round(0.01 * i, 2) for i in range(1, 101))
+_CUTOFF_GRID = (
+    (16, _FULL_H),
+    (17, _FULL_H),
+    (64, _FULL_H),
+    (100, _FULL_H),
+    (255, _FULL_H),
+    (256, _FULL_H),
+    (512, _FULL_H),
+    (1024, _FULL_H[::5]),
+    (2048, _FULL_H[::20] + (1.0,)),
+)
+
+
+class TestExactProportionCutoff:
+    """The exact binomial quantile, pinned to scipy's float ``binom.ppf``."""
+
+    @pytest.mark.parametrize("alpha", [10, 20, 30])
+    def test_equals_scipy_binom_ppf(self, alpha):
+        for window, entropies in _CUTOFF_GRID:
+            p = 2.0 ** -np.asarray(entropies)
+            reference = stats.binom.ppf(1.0 - 2.0**-alpha, window - 1, p)
+            for h, quantile in zip(entropies, reference):
+                expected = min(int(quantile) + 1, window)
+                assert adaptive_proportion_cutoff(h, window, alpha) == expected, (h, window)
+
+    def test_exact_where_the_float_quantile_ties(self):
+        # P(X <= 255) is exactly 1/2 for X ~ B(511, 1/2): the quantile at
+        # 1 - 2**-1 is 255, where boost's float quantile gives 256.
+        assert adaptive_proportion_cutoff(1.0, 512, 1) == 256
+        # P(X = 80) = (2**-0.5)**80 is 2**-40 up to the rounding of p,
+        # which makes it slightly larger, so X <= 79 falls short.
+        assert adaptive_proportion_cutoff(0.5, 81, 40) == 81
+
+    @pytest.mark.parametrize("h,window,alpha", [(0.9, 16, 20), (0.37, 40, 10), (0.05, 33, 3)])
+    def test_equals_a_rational_quantile(self, h, window, alpha):
+        n, p = window - 1, Fraction(2.0**-h)
+        target = 1 - Fraction(1, 2**alpha)
+        cdf, k = Fraction(0), -1
+        while cdf < target:
+            k += 1
+            cdf += comb(n, k) * p**k * (1 - p) ** (n - k)
+        assert adaptive_proportion_cutoff(h, window, alpha) == min(k + 1, window)
+
+    def test_alpha_validation(self):
+        with pytest.raises(ValueError):
+            adaptive_proportion_cutoff(0.9, 512, 0)
 
 
 class TestHealthMonitor:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from repro.verify.criteria import (
     ci_lower_bound,
@@ -158,3 +159,54 @@ class TestWilsonInterval:
         low, high = wilson_interval(500, 1000)
         approx_half = 1.959964 * math.sqrt(0.25 / 1000)
         assert abs((high - low) / 2 - approx_half) < 1e-3
+
+
+class TestScipySpecialEqualsStats:
+    """The criteria call the ``scipy.special`` functions behind
+    ``scipy.stats.t`` and ``scipy.stats.norm``; the values are the same."""
+
+    DFS = (1, 2, 3, 4, 7, 19, 99, 999)
+    QS = (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.9995)
+    XS = tuple(np.linspace(-8.0, 8.0, 161)) + (-40.0, 1e-9, 40.0)
+
+    def test_t_quantile(self):
+        for df in self.DFS:
+            for q in self.QS:
+                assert special.stdtrit(df, q) == stats.t.ppf(q, df=df)
+
+    def test_t_tails(self):
+        for df in self.DFS:
+            for x in self.XS:
+                assert special.stdtr(df, -x) == stats.t.sf(x, df=df)
+                assert special.stdtr(df, x) == stats.t.cdf(x, df=df)
+
+    def test_normal_quantile(self):
+        for q in self.QS + (0.6827, 0.999999):
+            assert special.ndtri(q) == stats.norm.ppf(q)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 30, 200])
+    def test_criteria_equal_the_scipy_stats_formulas(self, n):
+        samples = np.random.default_rng(n).normal(1.0, 0.3, size=n)
+        mean = float(np.mean(samples))
+        se = float(np.std(samples, ddof=1) / math.sqrt(n))
+        for confidence in (0.8, 0.9, 0.95, 0.99):
+            half = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1)) * se
+            assert mean_confidence_interval(samples, confidence) == (mean, mean - half, mean + half)
+            half = float(stats.t.ppf(confidence, df=n - 1)) * se
+            assert ci_upper_bound(samples, 2.0, confidence).confidence_limit == mean + half
+            assert ci_lower_bound(samples, 0.0, confidence).confidence_limit == mean - half
+            z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+            p = (n // 3) / n
+            denom = 1.0 + z * z / n
+            centre = (p + z * z / (2.0 * n)) / denom
+            spread = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
+            assert wilson_interval(n // 3, n, confidence) == (
+                max(0.0, centre - spread),
+                min(1.0, centre + spread),
+            )
+        for target, margin in ((1.0, 0.1), (1.2, 0.5), (0.0, 2.0)):
+            result = tost(samples, target, margin)
+            t_lower = (mean - (target - margin)) / se
+            t_upper = (mean - (target + margin)) / se
+            assert result.p_lower == float(stats.t.sf(t_lower, df=n - 1))
+            assert result.p_upper == float(stats.t.cdf(t_upper, df=n - 1))
