@@ -4,10 +4,10 @@ Both oscillators expose the same two evaluation paths:
 
 * ``simulate(...)`` — exact simulation of the ring's timing model,
   producing an :class:`~repro.simulation.waveform.EdgeTrace` of the
-  output stage: on the vectorized batch kernel by default, on the
-  per-event :mod:`repro.simulation` engine (the oracle) with
-  ``backend="event"``; :func:`simulate_many` runs a sweep of rings with
-  one kernel call per family;
+  output stage: on the vectorized batch kernel by default, under every
+  modulation, on the per-event :mod:`repro.simulation` engine (the
+  oracle) with ``backend="event"``; :func:`simulate_many` runs a sweep
+  of rings with one kernel call per family;
 * ``sample_periods(...)`` — a fast vectorized sampler drawing periods
   from the validated analytical model, for statistics-hungry experiments.
 

@@ -14,8 +14,8 @@ faithful:
 3. ``simulate(...)`` — exact simulation of the ring's timing model, the
    ground truth the analytical layers are validated against.  It runs on
    the vectorized batch kernel (:mod:`repro.simulation.batch`) by
-   default; ``backend="event"`` selects the per-event engine, which is
-   the oracle the kernel is tested against.
+   default, under every modulation; ``backend="event"`` selects the
+   per-event engine, which is the oracle the kernel is tested against.
 
 :func:`simulate_many` runs a whole sweep of rings the way ``simulate``
 runs one, with one kernel call per ring family.
@@ -29,14 +29,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.simulation.batch import (
-    modulation_is_batchable,
-    simulate_iro_batch,
-    simulate_str_batch,
-)
+from repro.simulation.batch import simulate_iro_batch, simulate_str_batch
 from repro.simulation.noise import DeterministicModulation, SeedLike
 from repro.simulation.waveform import EdgeTrace
-from repro.telemetry import default_registry, span
+from repro.telemetry import span
 from repro.units import period_ps_to_mhz
 
 
@@ -135,7 +131,6 @@ class RingOscillator(abc.ABC):
     # ------------------------------------------------------------------
     # simulation layer
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def simulate(
         self,
         period_count: int,
@@ -148,11 +143,13 @@ class RingOscillator(abc.ABC):
 
         ``backend="batch"`` (default) is :func:`simulate_many` of this
         one ring: the vectorized kernel in :mod:`repro.simulation.batch`,
-        falling back to the event engine (counted in
-        ``repro.batch.fallbacks``) for a configuration the kernel
-        rejects; ``backend="event"`` is the per-event reference engine,
-        the oracle.
+        which accepts every modulation; ``backend="event"`` is the
+        per-event reference engine, the oracle.  The ``simulate`` span
+        is tagged with the backend that ran.  An IRO is observed at its
+        last stage; an STR at stage 0 (``SelfTimedRing.simulate`` picks
+        another).
         """
+        return self._simulate(period_count, seed, modulation, warmup_periods, 0, backend)
 
     @abc.abstractmethod
     def _batch_spec(self, edge_count: int, seed: SeedLike, output_stage: int):
@@ -168,20 +165,29 @@ class RingOscillator(abc.ABC):
     ) -> Tuple[EdgeTrace, int]:
         """``(output trace, events)`` of an event-engine run of ``edge_count`` edges."""
 
-    def _simulate_event(
+    def _simulate(
         self,
         period_count: int,
         seed: SeedLike,
         modulation: Optional[DeterministicModulation],
         warmup_periods: int,
         output_stage: int,
-        **attrs,
+        backend: str,
     ) -> SimulationResult:
-        """One event-engine run under a ``simulate`` span tagged ``backend="event"``."""
+        """:meth:`simulate` observed at ``output_stage`` (ignored by an IRO)."""
+        _check_backend(backend)
+        if backend == "batch":
+            return simulate_many(
+                [self],
+                period_count,
+                [seed],
+                warmup_periods,
+                modulation,
+                output_stage=output_stage,
+            )[0]
+        _check_run(period_count, warmup_periods)
         needed_edges = _edge_count(period_count, warmup_periods)
-        with span(
-            "simulate", ring=self.name, periods=period_count, backend="event", **attrs
-        ) as tele:
+        with span("simulate", ring=self.name, periods=period_count, backend="event") as tele:
             full_trace, events = self._event_trace(needed_edges, seed, modulation, output_stage)
             tele.set("events", events)
         return _result(full_trace, events, warmup_periods)
@@ -229,14 +235,9 @@ def simulate_many(
     bit for bit: a kernel result depends only on its own ring and seed,
     never on the rest of the batch.  ``period_counts`` may be one count
     for every ring.  ``output_stage`` is the observed stage of each STR;
-    an IRO is always observed at its last stage.
-
-    An IRO under a time-varying ``modulation``, which the IRO kernel
-    cannot evaluate exactly, runs on the event engine one ring at a
-    time: each such ring adds one to ``repro.batch.fallbacks`` and gets
-    its own ``simulate`` span tagged ``backend="event"`` with the
-    rejected modulation's class.  The kernel runs of each family share
-    one ``simulate`` span tagged ``backend="batch"``.
+    an IRO is always observed at its last stage.  Every ``modulation``
+    runs on the kernels; the runs of each family share one ``simulate``
+    span tagged ``backend="batch"``.
     """
     rings = list(rings)
     seeds = list(seeds)
@@ -258,18 +259,6 @@ def simulate_many(
     for family, kernel in (("iro", simulate_iro_batch), ("str", simulate_str_batch)):
         rows = [row for row, ring in enumerate(rings) if ring.family == family]
         if not rows:
-            continue
-        if not modulation_is_batchable(modulation, family):
-            for row in rows:
-                default_registry().counter("repro.batch.fallbacks").inc()
-                results[row] = rings[row]._simulate_event(
-                    counts[row],
-                    seeds[row],
-                    modulation,
-                    warmup_periods,
-                    output_stage,
-                    rejected_modulation=type(modulation).__name__,
-                )
             continue
         # A ring's per-stage arrays are gathered once, however many rows
         # (restarts, seeds) run it.

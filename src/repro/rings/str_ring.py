@@ -33,13 +33,7 @@ from repro.core.temporal_model import (
     solve_steady_state,
     validate_token_configuration,
 )
-from repro.rings.base import (
-    RingOscillator,
-    SimulationResult,
-    _check_backend,
-    _check_run,
-    simulate_many,
-)
+from repro.rings.base import RingOscillator, SimulationResult
 from repro.rings.tokens import fireable_stages, spread_tokens_evenly
 from repro.simulation.batch import STRBatchSpec
 from repro.simulation.engine import SimulationLimits, Simulator, StopReason
@@ -265,31 +259,18 @@ class SelfTimedRing(RingOscillator):
         output_stage: int = 0,
         backend: str = "batch",
     ) -> SimulationResult:
-        """Exact run observed at ``output_stage``.
+        """Exact run observed at ``output_stage``; see :meth:`RingOscillator.simulate`.
 
-        ``backend="batch"`` (default) runs the vectorized wave kernel in
-        :mod:`repro.simulation.batch` through
-        :func:`~repro.rings.base.simulate_many`, which accepts every
-        modulation — bit-identical to the event engine for noiseless
-        rings, statistically equivalent (same model, different draw
-        order) with jitter.  ``backend="event"`` is the per-event oracle,
-        for callers that need its exact edge stream.  The ``simulate``
-        span is tagged with the backend that ran.
+        The batch wave kernel is bit-identical to the event engine for
+        noiseless rings and statistically equivalent (same model,
+        different draw order) with jitter; ``backend="event"`` is for
+        callers that need the oracle's exact edge stream.
         """
         if not (0 <= output_stage < self.stage_count):
             raise ValueError(f"output stage {output_stage} outside ring of {self.stage_count}")
-        _check_backend(backend)
-        if backend == "batch":
-            return simulate_many(
-                [self],
-                period_count,
-                [seed],
-                warmup_periods,
-                modulation,
-                output_stage=output_stage,
-            )[0]
-        _check_run(period_count, warmup_periods)
-        return self._simulate_event(period_count, seed, modulation, warmup_periods, output_stage)
+        return self._simulate(
+            period_count, seed, modulation, warmup_periods, output_stage, backend
+        )
 
     def _batch_spec(self, edge_count: int, seed: SeedLike, output_stage: int) -> STRBatchSpec:
         return STRBatchSpec.from_ring(

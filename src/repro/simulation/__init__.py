@@ -11,10 +11,8 @@ batch kernel that advances whole populations of rings at once
 
 from repro.simulation.batch import (
     BatchSimulationResult,
-    BatchUnsupported,
     IROBatchSpec,
     STRBatchSpec,
-    modulation_is_batchable,
     simulate_iro_batch,
     simulate_str_batch,
 )
@@ -35,10 +33,8 @@ from repro.simulation.waveform import EdgeTrace, periods_from_edges, half_period
 
 __all__ = [
     "BatchSimulationResult",
-    "BatchUnsupported",
     "IROBatchSpec",
     "STRBatchSpec",
-    "modulation_is_batchable",
     "simulate_iro_batch",
     "simulate_str_batch",
     "Simulator",

@@ -20,7 +20,11 @@ per ring, clamps the causality guard, and ``cumsum``s.  Because numpy's
 ``Generator`` produces the *same stream* whether sampled scalar-by-scalar
 or as one array, and ``cumsum`` accumulates in the same order as the
 event loop, the kernel is **bit-exact** against the event engine for the
-same seed (the identity the batch==event tests pin down).
+same seed (the identity the batch==event tests pin down).  A
+time-varying modulation makes a hop's delay depend on the time it
+starts; the kernel then steps the same recurrence hop by hop over the
+same pre-drawn noise, calling the modulation's scalar ``factor`` exactly
+as the event engine does, so it stays bit-exact under every modulation.
 
 **STR** (:func:`simulate_str_batch`).  A self-timed ring is a marked
 graph: stage ``i`` fires when it holds a token (``C_i != C_{i-1}``) and
@@ -55,7 +59,7 @@ performance choice.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,30 +79,6 @@ _CAUSALITY_GUARD_PS = 1e-6
 
 #: Rows of a ring's noise block the parity kernel draws at a time.
 _NOISE_CHUNK_ROWS = 1024
-
-
-class BatchUnsupported(ValueError):
-    """A workload feature the batch kernel cannot reproduce exactly.
-
-    Callers with a ``backend="batch"`` switch catch this and fall back
-    to the per-event engine (counted under ``repro.batch.fallbacks``).
-    """
-
-
-def modulation_is_batchable(
-    modulation: Optional[DeterministicModulation], family: str
-) -> bool:
-    """Whether the batch kernel handles ``modulation`` exactly.
-
-    The STR wave kernel evaluates any modulation exactly (the event
-    engine samples it at ``max(t_f, t_r)``, which the wave has).  The
-    IRO kernel needs the factor to be time-independent — a hop's delay
-    would otherwise depend on the not-yet-summed previous hop time — so
-    only ``None``/:class:`ConstantModulation` qualify.
-    """
-    if family == "str":
-        return True
-    return modulation is None or isinstance(modulation, ConstantModulation)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -300,25 +280,48 @@ def _iro_noise(
     return noise
 
 
+def _modulated_hop_times(
+    delays: List[float],
+    weights: List[float],
+    noise: List[float],
+    factor: Callable[[float], float],
+) -> np.ndarray:
+    """Hop times under a time-varying modulation, one hop at a time.
+
+    A hop's delay depends on the time it starts, so the run is the scalar
+    recurrence ``t += D * (1 + w * factor(t)) + n``, a non-positive delay
+    replaced by the causality guard — the float operations of the event
+    process's ``_schedule_hop``, in its order, on the same scalar
+    ``factor``.
+    """
+    times = []
+    t = 0.0
+    for delay, weight, jitter in zip(delays, weights, noise):
+        delay = delay * (1.0 + weight * factor(t)) + jitter
+        if delay <= 0.0:
+            delay = _CAUSALITY_GUARD_PS
+        t += delay
+        times.append(t)
+    return np.array(times)
+
+
 def simulate_iro_batch(
     specs: Sequence[IROBatchSpec],
     modulation: Optional[DeterministicModulation] = None,
 ) -> BatchSimulationResult:
-    """Advance a batch of inverter rings with one cumsum per ring.
+    """Advance a batch of inverter rings, one ring row at a time.
 
     Bit-exact against ``InverterRingOscillator.simulate`` for the same
-    per-ring seed.  Only time-independent modulations are supported —
-    :func:`modulation_is_batchable` tells callers in advance; anything
-    else raises :class:`BatchUnsupported` (the event engine handles it).
+    per-ring seed, under every modulation.  Without modulation, or under
+    a :class:`ConstantModulation`, a ring's hop delays are known up front
+    and its run is one ``cumsum``; under a time-varying modulation each
+    hop's delay depends on when it starts, and the row runs
+    :func:`_modulated_hop_times`.  Both consume the same pre-drawn noise.
     """
     specs = list(specs)
-    if not modulation_is_batchable(modulation, "iro"):
-        raise BatchUnsupported(
-            f"IRO batch kernel cannot evaluate time-varying modulation "
-            f"{modulation!r} exactly; use the event backend"
-        )
     if not specs:
         return BatchSimulationResult(traces=[], events_processed=0)
+    constant = modulation is None or isinstance(modulation, ConstantModulation)
     factor = 0.0 if modulation is None else modulation.factor(0.0)
     with span("batch_simulate", family="iro", rings=len(specs)) as tele:
         traces: List[EdgeTrace] = []
@@ -328,14 +331,22 @@ def simulate_iro_batch(
             stage_count = spec.stage_count
             hop_count = spec.edge_count * stage_count
             tiles = -(-hop_count // stage_count)
-            base = spec.stage_delays_ps
-            if modulation is not None:
-                # Same float ops as the event process: D * (1 + w * f).
-                base = base * (1.0 + spec.supply_weights * factor)
-            delays = np.tile(base, tiles)[:hop_count]
-            delays = delays + _iro_noise(spec, hop_count, make_rng(spec.seed))
-            np.maximum(delays, _CAUSALITY_GUARD_PS, where=delays <= 0.0, out=delays)
-            times = np.cumsum(delays)
+            noise = _iro_noise(spec, hop_count, make_rng(spec.seed))
+            if constant:
+                base = spec.stage_delays_ps
+                if modulation is not None:
+                    # Same float ops as the event process: D * (1 + w * f).
+                    base = base * (1.0 + spec.supply_weights * factor)
+                delays = np.tile(base, tiles)[:hop_count] + noise
+                np.maximum(delays, _CAUSALITY_GUARD_PS, where=delays <= 0.0, out=delays)
+                times = np.cumsum(delays)
+            else:
+                times = _modulated_hop_times(
+                    np.tile(spec.stage_delays_ps, tiles)[:hop_count].tolist(),
+                    np.tile(spec.supply_weights, tiles)[:hop_count].tolist(),
+                    noise.tolist(),
+                    modulation.factor,
+                )
             # The observed node is the last stage: one edge per lap.
             edge_times = times[stage_count - 1 :: stage_count]
             traces.append(EdgeTrace(edge_times, first_value=1))
@@ -883,10 +894,8 @@ def _grow_noise(
 
 __all__ = [
     "BatchSimulationResult",
-    "BatchUnsupported",
     "IROBatchSpec",
     "STRBatchSpec",
-    "modulation_is_batchable",
     "simulate_iro_batch",
     "simulate_str_batch",
 ]

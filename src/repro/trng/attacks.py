@@ -185,10 +185,8 @@ def measure_deterministic_response(
 
     Simulates the ring twice — clean and under attack — with the same
     noise seed, and separates the deterministic contribution in
-    quadrature.  Both runs use the default batch backend: an STR runs on
-    the wave kernel, which evaluates the ripple exactly; an IRO under
-    time-varying ripple falls back to the event engine, counted in
-    ``repro.batch.fallbacks``.
+    quadrature.  Both runs use the default batch backend, whose kernels
+    evaluate the ripple exactly for either ring family.
     """
     clean = ring.simulate(period_count, seed=seed)
     attacked = ring.simulate(period_count, seed=seed, modulation=attack.modulation())

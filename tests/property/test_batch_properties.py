@@ -3,7 +3,8 @@
 The batch kernel's contract, exercised over randomly drawn lengths,
 seeds and jitter magnitudes:
 
-* IRO batches are *bit-identical* to the event engine, always;
+* IRO batches are *bit-identical* to the event engine, always — also
+  under time-varying modulation (sinusoidal, step, ramp, composite);
 * STR batches are bit-identical whenever the rings are noiseless, and
   statistically equivalent otherwise (same process, different draw
   order — mean period within 1%, period jitter within a factor
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.charlie import CharlieDiagram, CharlieParameters
+from repro.rings.base import simulate_many
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
 from repro.simulation.batch import (
@@ -23,6 +25,12 @@ from repro.simulation.batch import (
     STRBatchSpec,
     simulate_iro_batch,
     simulate_str_batch,
+)
+from repro.simulation.noise import (
+    CompositeModulation,
+    RampModulation,
+    SinusoidalModulation,
+    StepModulation,
 )
 
 
@@ -38,6 +46,77 @@ def iro_populations(draw):
         sigma = draw(st.sampled_from([0.0, 0.5, 2.0, 5.0]))
         rings.append(InverterRingOscillator(delays, jitter_sigmas_ps=sigma))
     return rings
+
+
+def _sinusoids():
+    # Ripple periods from a few hops (hops are 100-400 ps) to many laps;
+    # the phase starts the run on the negative half-wave.
+    return st.builds(
+        SinusoidalModulation,
+        amplitude=st.floats(0.01, 0.1),
+        period_ps=st.one_of(st.floats(300.0, 1500.0), st.floats(1500.0, 1e5)),
+        phase_rad=st.floats(np.pi + 0.2, 2.0 * np.pi - 0.2),
+    )
+
+
+def _steps():
+    # The step lands inside the run (runs last ~4e3-1e5 ps).
+    return st.builds(
+        StepModulation,
+        step_time_ps=st.floats(500.0, 4000.0),
+        factor_after=st.floats(-0.1, 0.1),
+        factor_before=st.floats(-0.1, -0.01),
+    )
+
+
+def _ramps():
+    # A drift already under way when the run starts.
+    return st.builds(
+        RampModulation,
+        slope_per_ps=st.floats(-2e-6, -1e-7),
+        start_time_ps=st.floats(-5e4, -1e3),
+    )
+
+
+def time_varying_modulations():
+    """Sinusoidal, step, ramp and composite modulations, each negative at t = 0."""
+    simple = st.one_of(_sinusoids(), _steps(), _ramps())
+    composite = st.lists(simple, min_size=2, max_size=3).map(CompositeModulation)
+    return st.one_of(simple, composite)
+
+
+@st.composite
+def modulated_iro_rows(draw):
+    """``simulate_many`` rows of 3/5/7-stage IROs with different lengths.
+
+    Every row has a zero-sigma stage.  The last row forces the causality
+    guard: its stage 0 responds to the modulation ten times over, so
+    the first hop's delay ``D * (1 + w * factor(0))`` is negative.
+    """
+    modulation = draw(time_varying_modulations())
+    rings = []
+    for _ in range(draw(st.integers(1, 3))):
+        stages = draw(st.sampled_from([3, 5, 7]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        sigmas = rng.choice([0.0, 0.5, 2.0, 5.0], size=stages)
+        sigmas[draw(st.integers(0, stages - 1))] = 0.0
+        rings.append(
+            InverterRingOscillator(
+                rng.uniform(100.0, 400.0, size=stages),
+                jitter_sigmas_ps=sigmas,
+                supply_weights=rng.uniform(0.5, 1.0, size=stages),
+            )
+        )
+    guard_weight = 10.0 / abs(modulation.factor(0.0))
+    rings.append(
+        InverterRingOscillator(
+            [150.0, 250.0, 200.0],
+            jitter_sigmas_ps=[2.0, 0.0, 1.0],
+            supply_weights=[guard_weight, 1.0, 1.0],
+        )
+    )
+    counts = [draw(st.integers(4, 24)) for _ in rings]
+    return rings, counts, modulation
 
 
 @st.composite
@@ -72,6 +151,22 @@ class TestIROEquivalence:
             np.testing.assert_array_equal(
                 trace.times_ps, full_event_times(ring, 21, ring_seed)
             )
+
+    @settings(max_examples=20, deadline=None)
+    @given(modulated_iro_rows(), st.integers(0, 2**31 - 1))
+    def test_modulated_rows_bit_identical_to_event(self, rows, seed):
+        rings, counts, modulation = rows
+        assert modulation.factor(0.0) < 0.0
+        seeds = [seed + index for index in range(len(rings))]
+        many = simulate_many(rings, counts, seeds, warmup_periods=2, modulation=modulation)
+        for ring, count, ring_seed, result in zip(rings, counts, seeds, many):
+            event = ring.simulate(
+                count, seed=ring_seed, modulation=modulation, warmup_periods=2, backend="event"
+            )
+            np.testing.assert_array_equal(
+                result.warmup_trace.times_ps, event.warmup_trace.times_ps
+            )
+            assert result.events_processed == event.events_processed
 
     @settings(max_examples=20, deadline=None)
     @given(iro_populations())

@@ -26,6 +26,7 @@ from repro.rings.str_ring import SelfTimedRing
 from repro.simulation.noise import ConstantModulation, SinusoidalModulation
 from repro.telemetry import MemorySink, default_registry, use_sink
 from repro.trng.elementary import ElementaryTrng
+from repro.verify.claims import get_claim
 
 
 def make_iro(stages=5, sigma=2.0):
@@ -64,19 +65,20 @@ class TestRingSimulateBackend:
         )
         np.testing.assert_array_equal(batch.trace.times_ps, event.trace.times_ps)
 
-    def test_iro_unbatchable_modulation_falls_back_to_event(self):
+    def test_iro_time_varying_modulation_runs_on_kernel(self):
         ring = make_iro()
         modulation = SinusoidalModulation(0.05, 5000.0)
-        registry = default_registry()
-        assert registry.counter("repro.batch.fallbacks").value == 0
+        sink = MemorySink()
+        with use_sink(sink):
+            batch = ring.simulate(
+                24, seed=5, modulation=modulation, warmup_periods=4, backend="batch"
+            )
+        (record,) = _simulate_spans(sink)
+        assert record["attrs"]["backend"] == "batch"
+        assert default_registry().counter("repro.rings.iro.events").value == 0
         event = ring.simulate(
             24, seed=5, modulation=modulation, warmup_periods=4, backend="event"
         )
-        batch = ring.simulate(
-            24, seed=5, modulation=modulation, warmup_periods=4, backend="batch"
-        )
-        assert registry.counter("repro.batch.fallbacks").value == 1
-        # The fallback is the event engine itself: identical output.
         np.testing.assert_array_equal(batch.trace.times_ps, event.trace.times_ps)
 
     def test_str_noiseless_batch_backend_bit_identical(self):
@@ -149,28 +151,22 @@ class TestSimulateMany:
         simulate_many(self._rings(), 16, [0, 1, 2, 3])
         assert default_registry().counter("repro.batch.simulations").value == 2
 
-    def test_iro_ripple_falls_back_per_ring(self):
+    def test_iro_ripple_runs_on_kernel(self):
         rings = self._rings()
         ripple = SinusoidalModulation(0.05, 5000.0)
         sink = MemorySink()
         with use_sink(sink):
             many = simulate_many(rings, 12, [0, 1, 2, 3], warmup_periods=2, modulation=ripple)
         registry = default_registry()
-        assert registry.counter("repro.batch.fallbacks").value == 2
-        assert registry.counter("repro.batch.simulations").value == 1  # the STRs
-        backends = sorted(
-            (record["attrs"]["backend"], record["attrs"].get("rejected_modulation"))
-            for record in _simulate_spans(sink)
-        )
-        assert backends == [
-            ("batch", None),
-            ("event", "SinusoidalModulation"),
-            ("event", "SinusoidalModulation"),
-        ]
-        iro_event = rings[1].simulate(
-            12, seed=1, modulation=ripple, warmup_periods=2, backend="event"
-        )
-        np.testing.assert_array_equal(many[1].trace.times_ps, iro_event.trace.times_ps)
+        assert registry.counter("repro.rings.iro.events").value == 0
+        assert registry.counter("repro.batch.simulations").value == 2  # one per family
+        backends = [record["attrs"]["backend"] for record in _simulate_spans(sink)]
+        assert backends == ["batch", "batch"]
+        for row in (1, 3):
+            iro_event = rings[row].simulate(
+                12, seed=row, modulation=ripple, warmup_periods=2, backend="event"
+            )
+            np.testing.assert_array_equal(many[row].trace.times_ps, iro_event.trace.times_ps)
 
     def test_lengths_must_match(self):
         with pytest.raises(ValueError, match="one period count and one seed per ring"):
@@ -300,15 +296,28 @@ class TestEventOraclePinned:
 
 
 class TestSweepsStayOnTheKernel:
-    """A silent event fallback in a sweep is invisible to a timing gate
-    when the event engine is about as fast as the kernel (FIG5's two
-    12-stage rings); the counters see it."""
+    """A run that slips onto the event engine is invisible to a timing
+    gate when the engine is about as fast as the kernel (FIG5's two
+    12-stage rings); the counters see it.  EXT5, EXT1 and the C4 claim
+    drive IROs under time-varying ripple, the modulation the IRO kernel
+    once refused."""
 
-    def test_fig5_runs_no_event_engine(self):
-        run_experiment("FIG5")
+    @pytest.mark.parametrize(
+        "experiment_id, kwargs",
+        [("FIG5", {}), ("EXT5", {}), ("EXT1", {"period_count": 256})],
+        ids=["FIG5", "EXT5", "EXT1"],
+    )
+    def test_fig5_runs_no_event_engine(self, experiment_id, kwargs):
+        run_experiment(experiment_id, **kwargs)
         events, batch_calls = _event_counts()
         assert events == 0
-        assert default_registry().counter("repro.batch.fallbacks").value == 0
+        assert batch_calls > 0
+
+    def test_c4_claim_runs_no_event_engine(self):
+        outcome = get_claim("C4").run(seed=0, tier="quick")
+        assert outcome.passed, outcome.detail
+        events, batch_calls = _event_counts()
+        assert events == 0
         assert batch_calls > 0
 
 
@@ -369,7 +378,6 @@ class TestBackendVisibility:
         spans = {record["attrs"]["ring"]: record for record in _simulate_spans(sink)}
         str_span = spans["STR 96C"]
         assert str_span["attrs"]["backend"] == "batch"
-        assert "rejected_modulation" not in str_span["attrs"]
         kernel_spans = [
             record
             for record in sink.records
@@ -377,16 +385,15 @@ class TestBackendVisibility:
         ]
         assert str_span["span_id"] in {record["parent_id"] for record in kernel_spans}
 
-    def test_iro_ripple_fallback_tagged_event(self):
+    def test_iro_ripple_tagged_batch(self):
         sink = MemorySink()
         with use_sink(sink):
             make_iro().simulate(24, seed=5, modulation=SinusoidalModulation(0.05, 5000.0))
         (record,) = _simulate_spans(sink)
-        assert record["attrs"]["backend"] == "event"
-        assert record["attrs"]["rejected_modulation"] == "SinusoidalModulation"
-        assert default_registry().counter("repro.batch.fallbacks").value == 1
+        assert record["attrs"]["backend"] == "batch"
+        assert default_registry().counter("repro.rings.iro.events").value == 0
 
-    def test_event_backend_is_not_a_fallback(self):
+    def test_event_backend_tagged_event(self):
         sink = MemorySink()
         with use_sink(sink):
             make_iro().simulate(
@@ -394,8 +401,6 @@ class TestBackendVisibility:
             )
         (record,) = _simulate_spans(sink)
         assert record["attrs"]["backend"] == "event"
-        assert "rejected_modulation" not in record["attrs"]
-        assert default_registry().counter("repro.batch.fallbacks").value == 0
 
 
 class TestFig10SharedTrace:

@@ -13,12 +13,10 @@ from repro.core.charlie import CharlieDiagram, CharlieParameters
 from repro.rings.iro import InverterRingOscillator
 from repro.rings.str_ring import SelfTimedRing
 from repro.simulation.batch import (
-    BatchUnsupported,
     IROBatchSpec,
     STRBatchSpec,
     _parity_plan,
     _simulate_str_waves,
-    modulation_is_batchable,
     simulate_iro_batch,
     simulate_str_batch,
 )
@@ -82,12 +80,13 @@ class TestIROKernel:
         together = simulate_iro_batch([spec_b, spec_a]).traces[1].times_ps
         np.testing.assert_array_equal(alone, together)
 
-    def test_time_varying_modulation_rejected(self):
-        spec = IROBatchSpec.from_ring(make_iro(), edge_count=11, seed=0)
+    def test_time_varying_modulation_bit_identical(self):
+        ring = make_iro()
         modulation = SinusoidalModulation(0.05, 5000.0)
-        assert not modulation_is_batchable(modulation, "iro")
-        with pytest.raises(BatchUnsupported):
-            simulate_iro_batch([spec], modulation=modulation)
+        spec = IROBatchSpec.from_ring(ring, edge_count=31, seed=0)
+        batch = simulate_iro_batch([spec], modulation=modulation)
+        expected = event_trace(ring, 31, seed=0, modulation=modulation)
+        np.testing.assert_array_equal(batch.traces[0].times_ps, expected)
 
     def test_empty_batch(self):
         result = simulate_iro_batch([])
@@ -115,7 +114,6 @@ class TestSTRKernel:
     def test_noiseless_with_modulation_bit_identical(self):
         ring = make_str(8, sigma=0.0)
         modulation = SinusoidalModulation(0.05, 8000.0)
-        assert modulation_is_batchable(modulation, "str")
         spec = STRBatchSpec.from_ring(ring, edge_count=31, seed=2)
         batch = simulate_str_batch([spec], modulation=modulation)
         expected = event_trace(ring, 31, seed=2, modulation=modulation)

@@ -88,3 +88,7 @@ def test_perfbench_layer_targets_resolve():
     assert len(targets) > 20, "TARGETS not found in perfbench/layers.py"
     for module, path in targets:
         assert callable(_resolve(module, path)), f"{module}.{path}"
+        # The tracer wraps ``vars(owner)[name]``: an inherited method is not enough.
+        owner_path, _, name = path.rpartition(".")
+        if owner_path:
+            assert name in vars(_resolve(module, owner_path)), f"{module}.{path} is inherited"
