@@ -14,9 +14,9 @@ Commands
     experiment that does not take it exits 2 before anything runs.
 ``campaign``
     Run the full Section V characterization campaign over an arbitrary
-    set of ring specs (``iro:5 str:96 ...``), parallel and cached on
-    the event backend (``--jobs``/``--no-cache`` are refused with
-    ``--backend batch``).
+    set of ring specs (``iro:5 str:96 ...``): one grid task per ring
+    family, on the batch kernel (``--backend event`` runs the event
+    oracle instead), parallel, cached and shardable on either backend.
 ``report``
     Print the paper's STR-vs-IRO comparison on a fresh five-board bank.
 ``calibration``
@@ -353,52 +353,35 @@ def _command_campaign(args: argparse.Namespace) -> int:
 
     sharding = _parse_shard(args)
     if sharding is not None:
-        if args.backend != "event":
-            print(
-                "sharded campaigns run the event backend only "
-                "(the batch backend bypasses the per-segment cache that "
-                "merging relies on)",
-                file=sys.stderr,
-            )
-            return 2
         if args.no_cache:
             return _refuse_flags(
                 ["--no-cache"], "not used with --shard (a shard always "
                 "caches into its --shard-dir)"
             )
         workload_args = dict(
-            campaign_args(specs, jitter_periods=args.periods, seed=args.seed),
+            campaign_args(
+                specs, jitter_periods=args.periods, seed=args.seed, backend=args.backend
+            ),
             board_count=args.boards,
             bank_seed=args.bank_seed,
         )
         return _run_shard("campaign", workload_args, sharding, args.jobs, args.json, progress)
 
-    stats = None
-    if args.backend == "batch":
-        refused = [flag for flag, _ in _given_run_flags(args) if flag != "--backend"]
-        if refused:
-            return _refuse_flags(
-                refused, "not used by '--backend batch' (the kernels run "
-                "in-process, uncached)"
-            )
-        grid_options: Dict[str, Any] = {}
-    else:
-        stats = GridStats()
-        grid_options = dict(
-            jobs=args.jobs, cache=_cli_cache(args), progress=progress, stats=stats
-        )
+    stats = GridStats()
     bank = BoardBank.manufacture(board_count=args.boards, seed=args.bank_seed)
     report = run_campaign(
         specs,
         bank=bank,
         jitter_periods=args.periods,
         seed=args.seed,
+        jobs=args.jobs,
+        cache=_cli_cache(args),
+        progress=progress,
         backend=args.backend,
-        **grid_options,
+        stats=stats,
     )
     print(report.to_json() if args.json else report.render())
-    if stats is not None:
-        _print_grid_stats(stats, args.json)
+    _print_grid_stats(stats, args.json)
     return 0
 
 
@@ -946,9 +929,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument(
         "--backend",
         choices=("batch", "event"),
-        default="event",
-        help="simulation backend for the campaign grid (batch = vectorized "
-        "kernel, event = per-event reference engine; default: event)",
+        default="batch",
+        help="simulation backend for the campaign grid (batch = one "
+        "vectorized kernel call per ring family, event = per-event "
+        "reference engine; default: batch)",
     )
     campaign_parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON results"

@@ -33,13 +33,11 @@ from repro.trng.phasewalk import predicted_shannon_entropy, reference_period_for
 
 _log = get_logger("repro.core.campaign")
 
-#: Periods per jitter-simulation segment in the fanned-out campaign.
-#: Segments are the unit of parallelism *within* one ring spec: a long
-#: event-driven run is replaced by independent seed-spawned runs whose
-#: period populations are concatenated, so a single slow spec (an STR
-#: 96C dominates a TAB2-sized grid ~20:1) no longer bounds the whole
-#: campaign's wall-clock.  Serial runs use the same segmentation, which
-#: is what keeps ``jobs=N`` bit-identical to ``jobs=1``.
+#: Periods per jitter-simulation segment.  A ring's jitter budget is
+#: cut into independent seed-spawned segments whose period populations
+#: are concatenated: the segments are the campaign's seed tree and the
+#: rows of its one kernel call per ring family, not a unit of
+#: parallelism.
 DEFAULT_SEGMENT_PERIODS = 512
 
 #: Warm-up discarded before each segment's jitter statistics.
@@ -145,19 +143,17 @@ class CampaignReport:
         return json.dumps(payload, indent=indent)
 
 
-def _segment_lengths(total_periods: int, segment_periods: int) -> List[int]:
+def _segment_lengths(total_periods: int) -> List[int]:
     """Split a period budget into simulation segments.
 
-    Full segments of ``segment_periods`` plus the remainder; a remainder
-    too short to yield a jitter estimate (< 2 periods) is folded into
-    the last segment.
+    Full segments of :data:`DEFAULT_SEGMENT_PERIODS` plus the remainder;
+    a remainder too short to yield a jitter estimate (< 2 periods) is
+    folded into the last segment.
     """
     if total_periods < 2:
         raise ValueError(f"a jitter estimate needs at least 2 periods, got {total_periods}")
-    if segment_periods < 2:
-        raise ValueError(f"segments need at least 2 periods, got {segment_periods}")
-    lengths = [segment_periods] * (total_periods // segment_periods)
-    remainder = total_periods % segment_periods
+    lengths = [DEFAULT_SEGMENT_PERIODS] * (total_periods // DEFAULT_SEGMENT_PERIODS)
+    remainder = total_periods % DEFAULT_SEGMENT_PERIODS
     if remainder >= 2:
         lengths.append(remainder)
     elif remainder:
@@ -165,37 +161,38 @@ def _segment_lengths(total_periods: int, segment_periods: int) -> List[int]:
     return lengths
 
 
-def _campaign_segment_worker(task: GridTask) -> List[float]:
-    """Grid worker: the period population of one simulation segment.
+def _campaign_family_worker(task: GridTask) -> List[List[float]]:
+    """Grid worker: the period population of each ring of one family.
 
-    Runs the event oracle explicitly — the event-backend campaign, its
-    shards and its segment cache entries all name event-engine results.
+    The rows are every segment of every ring, ring-major.  The batch
+    backend runs them in one :func:`simulate_many` call, the event
+    backend as a loop over the event oracle; a ring's population is its
+    segments concatenated.
     """
-    payload = task.payload
-    trace = payload["ring"].simulate(
-        payload["period_count"],
-        seed=task.seed,
-        warmup_periods=payload["warmup_periods"],
-        backend="event",
-    ).trace
-    return [float(period) for period in trace.periods_ps()]
-
-
-def _campaign_segments_batch(tasks: Sequence[GridTask]) -> List[List[float]]:
-    """All jitter segments in one :func:`simulate_many` call.
-
-    Runs the very tasks of :func:`_campaign_grid` — same segment
-    lengths, same seeds — so IRO segments (bit-exact kernel) reproduce
-    the event-backend campaign digits exactly; STR segments are
-    statistically equivalent.
-    """
-    results = simulate_many(
-        [task.payload["ring"] for task in tasks],
-        [task.payload["period_count"] for task in tasks],
-        [task.seed for task in tasks],
-        warmup_periods=CAMPAIGN_WARMUP_PERIODS,
-    )
-    return [[float(period) for period in result.trace.periods_ps()] for result in results]
+    spec = task.spec
+    rows = [
+        (ring, count, seed)
+        for ring, ring_seeds in zip(task.payload, spec["seeds"])
+        for count, seed in zip(spec["period_counts"], ring_seeds)
+    ]
+    warmup = spec["warmup_periods"]
+    if spec["backend"] == "batch":
+        rings, counts, seeds = zip(*rows)
+        results = simulate_many(rings, counts, seeds, warmup_periods=warmup)
+    else:
+        results = [
+            ring.simulate(count, seed=seed, warmup_periods=warmup, backend="event")
+            for ring, count, seed in rows
+        ]
+    per_ring = len(spec["period_counts"])
+    return [
+        [
+            float(period)
+            for result in results[index : index + per_ring]
+            for period in result.trace.periods_ps()
+        ]
+        for index in range(0, len(results), per_ring)
+    ]
 
 
 def campaign_args(
@@ -205,7 +202,7 @@ def campaign_args(
     jitter_periods: int = 2048,
     q_target: float = 0.2,
     seed: Optional[int] = 0,
-    segment_periods: int = DEFAULT_SEGMENT_PERIODS,
+    backend: str = "batch",
 ) -> Dict[str, Any]:
     """The JSON-able args of a campaign grid.
 
@@ -214,66 +211,74 @@ def campaign_args(
     """
     if not specs:
         raise ValueError("need at least one ring spec")
+    if backend not in ("event", "batch"):
+        raise ValueError(f"backend must be 'event' or 'batch', got {backend!r}")
     return {
         "specs": [dataclasses.asdict(spec) for spec in specs],
         "voltages_v": [float(v) for v in voltages_v],
         "jitter_periods": int(jitter_periods),
         "q_target": float(q_target),
         "seed": seed,
-        "segment_periods": int(segment_periods),
+        "backend": backend,
     }
 
 
+def _family_members(specs: Sequence[RingSpec]) -> Dict[str, List[int]]:
+    """Spec indices per ring family, in order of first appearance."""
+    members: Dict[str, List[int]] = {}
+    for index, spec in enumerate(specs):
+        members.setdefault(spec.kind, []).append(index)
+    return members
+
+
 def _campaign_grid(args: Dict[str, Any], bank: BoardBank):
-    """The campaign's flat segment grid, seeds derived before any split.
+    """The campaign's grid: one task per ring family, seeds derived first.
 
     The one place the segment/seed tree is derived: one child of the
-    root seed per spec, one grandchild per segment.  Every path (either
-    backend, a shard, a merge replay) builds the *whole* grid from the
-    same args, so a shard owns a subset of exactly the tasks — and
-    seeds — the single-host run evaluates.
+    root seed per spec, one grandchild per segment.  A family's task
+    holds the rows one kernel call runs (every segment of each of its
+    rings); its spec names the rings by fingerprint, the segments, their
+    seeds and the backend, so event and batch results never share a
+    cache entry.  Every path (either backend, a shard, a merge replay)
+    builds the *whole* grid from the same args.
     """
     specs = [RingSpec(**entry) for entry in args["specs"]]
-    lengths = _segment_lengths(args["jitter_periods"], args["segment_periods"])
-    tasks: List[GridTask] = []
-    for spec, spec_seed in zip(specs, spawn_seeds(args["seed"], len(specs))):
-        ring = spec.build(bank[0])
-        ring_key = fingerprint(ring)
-        segment_seeds = spawn_seeds(spec_seed, len(lengths))
-        for segment_index, (length, segment_seed) in enumerate(zip(lengths, segment_seeds)):
-            tasks.append(
-                GridTask(
-                    kind="campaign_jitter_segment",
-                    spec={
-                        "ring": ring_key,
-                        "label": spec.label,
-                        "segment": segment_index,
-                        "period_count": length,
-                        "warmup_periods": CAMPAIGN_WARMUP_PERIODS,
-                    },
-                    seed=segment_seed,
-                    payload={
-                        "ring": ring,
-                        "period_count": length,
-                        "warmup_periods": CAMPAIGN_WARMUP_PERIODS,
-                    },
-                )
-            )
-    return tasks, _campaign_segment_worker
+    lengths = _segment_lengths(args["jitter_periods"])
+    rings = [spec.build(bank[0]) for spec in specs]
+    segment_seeds = [
+        spawn_seeds(spec_seed, len(lengths))
+        for spec_seed in spawn_seeds(args["seed"], len(specs))
+    ]
+    tasks = [
+        GridTask(
+            kind="campaign_jitter_family",
+            spec={
+                "rings": [fingerprint(rings[index]) for index in indices],
+                "period_counts": lengths,
+                "warmup_periods": CAMPAIGN_WARMUP_PERIODS,
+                "seeds": [segment_seeds[index] for index in indices],
+                "backend": args["backend"],
+            },
+            payload=[rings[index] for index in indices],
+        )
+        for indices in _family_members(specs).values()
+    ]
+    return tasks, _campaign_family_worker
 
 
 def _campaign_report(
-    args: Dict[str, Any], bank: BoardBank, segments: Sequence[List[float]]
+    args: Dict[str, Any], bank: BoardBank, families: Sequence[List[List[float]]]
 ) -> CampaignReport:
-    """Fold the segment populations and the bank measurements into the report."""
+    """Fold the period populations and the bank measurements into the report."""
     specs = [RingSpec(**entry) for entry in args["specs"]]
-    per_spec = len(segments) // len(specs)
+    populations: Dict[int, List[float]] = {}
+    for indices, rows in zip(_family_members(specs).values(), families):
+        populations.update(zip(indices, rows))
     results: List[RingCampaignResult] = []
     for index, spec in enumerate(specs):
         sweep = sweep_voltage(bank[0], spec.build, args["voltages_v"])
         dispersion = measure_family_dispersion(bank, spec.build)
-        own = segments[index * per_spec : (index + 1) * per_spec]
-        periods = np.concatenate([np.asarray(segment, dtype=float) for segment in own])
+        periods = np.asarray(populations[index], dtype=float)
         results.append(
             _assemble_result(
                 spec, spec.build(bank[0]), sweep, dispersion, periods, args["q_target"]
@@ -322,9 +327,8 @@ def run_campaign(
     seed: Optional[int] = 0,
     jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
-    segment_periods: int = DEFAULT_SEGMENT_PERIODS,
     progress: Optional[ProgressCallback] = None,
-    backend: str = "event",
+    backend: str = "batch",
     stats: Optional[GridStats] = None,
 ) -> CampaignReport:
     """Characterize every spec over the bank and assemble the report.
@@ -334,19 +338,18 @@ def run_campaign(
     designer must use (see docs/theory.md Section 7).
 
     The jitter simulations — the campaign's entire cost — are cut into
-    independent seed-spawned segments (``segment_periods`` each) and
-    fanned out as ``jobs`` jobs (the caller plus ``jobs - 1`` workers),
-    consulting ``cache`` per
-    segment.  Any job count produces bit-identical reports because the
-    segment list and its seeds depend only on the arguments, never on
-    scheduling.  The root ``seed`` must be an integer (or ``None``); a
-    ``numpy.random.Generator`` raises ``TypeError``.
-
-    ``backend="batch"`` runs the very same segment/seed tree through the
-    vectorized kernels in-process and uncached, so it refuses ``jobs``,
-    ``cache``, ``progress`` and ``stats`` with ``ValueError``: IRO rows
-    stay bit-identical to the event path, STR rows are statistically
-    equivalent.
+    independent seed-spawned segments of :data:`DEFAULT_SEGMENT_PERIODS`
+    and run as one grid task per ring family: ``backend="batch"`` makes
+    one :func:`simulate_many` kernel call per family, ``backend="event"``
+    loops the same rows over the event oracle.  Either backend fans the
+    tasks out as ``jobs`` jobs (the caller plus ``jobs - 1`` workers),
+    consults ``cache`` per task, reports to ``progress`` and ``stats``,
+    and shards through :data:`CAMPAIGN_WORKLOAD`.  Any job count gives
+    bit-identical reports because the rows and their seeds depend only
+    on the arguments.  IRO rows are bit-identical across the backends,
+    STR rows statistically equivalent.  The root ``seed`` must be an
+    integer (or ``None``); a ``numpy.random.Generator`` raises
+    ``TypeError``.
     """
     args = campaign_args(
         specs,
@@ -354,23 +357,8 @@ def run_campaign(
         jitter_periods=jitter_periods,
         q_target=q_target,
         seed=seed,
-        segment_periods=segment_periods,
+        backend=backend,
     )
-    if backend not in ("event", "batch"):
-        raise ValueError(f"backend must be 'event' or 'batch', got {backend!r}")
-    if backend == "batch":
-        given = {
-            "jobs": jobs != 1,
-            "cache": cache is not None,
-            "progress": progress is not None,
-            "stats": stats is not None,
-        }
-        refused = [name for name, is_set in given.items() if is_set]
-        if refused:
-            raise ValueError(
-                f"backend='batch' runs in-process and uncached; it takes no "
-                f"{', '.join(refused)}"
-            )
     bank = bank if bank is not None else BoardBank.manufacture(board_count=5, seed=0)
     with span(
         "campaign", specs=len(specs), jitter_periods=jitter_periods
@@ -382,18 +370,15 @@ def run_campaign(
             backend=backend,
         )
         tasks, worker = _campaign_grid(args, bank)
-        tele.set("segments", len(tasks))
-        if backend == "batch":
-            segments = _campaign_segments_batch(tasks)
-        else:
-            segments = run_grid(
-                tasks, worker, jobs=jobs, cache=cache, progress=progress, stats=stats
-            )
-        report = _campaign_report(args, bank, segments)
+        tele.set("tasks", len(tasks))
+        families = run_grid(
+            tasks, worker, jobs=jobs, cache=cache, progress=progress, stats=stats
+        )
+        report = _campaign_report(args, bank, families)
         _log.info(
             "campaign.complete",
             rings=len(report.results),
-            segments=len(tasks),
+            tasks=len(tasks),
             backend=backend,
         )
         return report

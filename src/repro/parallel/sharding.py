@@ -463,7 +463,13 @@ class GridWorkload:
                 f"re-run the shards"
             )
         args = merged.workload["args"]
-        tasks, worker = self.grid(args)
+        try:
+            tasks, worker = self.grid(args)
+        except KeyError as error:
+            raise ShardError(
+                f"cannot reassemble {merged.out_dir}: its {self.name} args lack "
+                f"{error.args[0]!r}, so an older version wrote them; re-run the shards"
+            ) from None
         results = run_grid(
             tasks, worker, jobs=jobs, cache=merged.cache, progress=progress, stats=stats
         )

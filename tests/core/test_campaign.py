@@ -10,12 +10,13 @@ from repro.core.campaign import (
     CampaignReport,
     RingCampaignResult,
     RingSpec,
+    _campaign_grid,
     _segment_lengths,
+    campaign_args,
     run_campaign,
 )
 from repro.core.characterization import jitter_versus_length
 from repro.parallel import GridStats, ResultCache
-from repro.rings.iro import InverterRingOscillator
 
 
 class TestRingSpec:
@@ -97,17 +98,13 @@ class TestRunCampaign:
 class TestSegmentLengths:
     def test_single_period_budget_rejected(self):
         with pytest.raises(ValueError):
-            _segment_lengths(1, 512)
+            _segment_lengths(1)
 
     @pytest.mark.parametrize("total", [2, 511, 513, 1024, 1100])
     def test_lengths_cover_budget(self, total):
-        lengths = _segment_lengths(total, 512)
+        lengths = _segment_lengths(total)
         assert sum(lengths) == total
         assert min(lengths) >= 2
-
-
-def _iro5(board):
-    return InverterRingOscillator.on_board(board, 5)
 
 
 @pytest.mark.parametrize(
@@ -139,37 +136,39 @@ def test_generator_root_seed_raises(drive, board, bank):
         drive(np.random.default_rng(0), board, bank)
 
 
-@pytest.mark.parametrize(
-    "name,make",
-    [
-        ("jobs", lambda tmp_path: 4),
-        ("jobs", lambda tmp_path: None),
-        ("cache", lambda tmp_path: ResultCache(root=tmp_path / "cache")),
-        ("progress", lambda tmp_path: lambda done, total: None),
-        ("stats", lambda tmp_path: GridStats()),
-    ],
-)
-def test_batch_backend_refuses_grid_arguments(name, make, bank, tmp_path):
-    """The kernels run in-process and uncached: a grid argument selects nothing."""
-    with pytest.raises(ValueError, match=name):
-        run_campaign(
-            [RingSpec("iro", 5)], bank=bank, backend="batch", **{name: make(tmp_path)}
-        )
+class TestFamilyGrid:
+    """One grid task per ring family, keyed by its backend."""
 
+    SPECS = [RingSpec("iro", 3), RingSpec("str", 8), RingSpec("iro", 5)]
 
-def test_batch_backend_names_every_refused_argument(bank):
-    calls = []
-    stats = GridStats()
-    with pytest.raises(ValueError, match="jobs, progress, stats"):
-        run_campaign(
-            [RingSpec("iro", 5)],
-            bank=bank,
-            backend="batch",
-            jobs=4,
-            progress=lambda done, total: calls.append(done),
-            stats=stats,
-        )
-    assert calls == [] and stats.total == 0
+    def test_one_task_per_family(self, bank):
+        tasks, _worker = _campaign_grid(campaign_args(self.SPECS, jitter_periods=1100), bank)
+        assert [len(task.payload) for task in tasks] == [2, 1]
+        assert [task.payload[0].family for task in tasks] == ["iro", "str"]
+        assert tasks[0].spec["period_counts"] == [512, 512, 76]
+        assert [len(seeds) for seeds in tasks[0].spec["seeds"]] == [3, 3]
+
+    def test_rows_come_back_in_spec_order(self, bank):
+        # A spec's seed depends only on its index, so a ring keeps its row
+        # whichever other rings share its family's task.
+        def rows(*specs):
+            return run_campaign(list(specs), bank=bank, jitter_periods=256, seed=2).results
+
+        iro3, str8, iro5 = self.SPECS
+        mixed = rows(iro3, str8, iro5)
+        assert mixed[0] == rows(iro3, str8, RingSpec("str", 16))[0]
+        assert mixed[1] == rows(RingSpec("str", 16), str8)[1]
+        assert mixed[2] == rows(RingSpec("str", 4), str8, iro5)[2]
+
+    def test_backends_never_share_cache_entries(self, bank, tmp_path):
+        cache = ResultCache(root=tmp_path / "cache", version="1")
+        event_stats, batch_stats = GridStats(), GridStats()
+        common = dict(bank=bank, jitter_periods=256, seed=2, cache=cache)
+        run_campaign([RingSpec("iro", 3)], backend="event", stats=event_stats, **common)
+        run_campaign([RingSpec("iro", 3)], backend="batch", stats=batch_stats, **common)
+        assert (event_stats.executed, batch_stats.executed) == (1, 1)
+        assert batch_stats.cache_hits == 0
+        assert cache.stats().entry_count == 2
 
 
 def _synthetic_result(label: str, frequency_mhz: float) -> RingCampaignResult:

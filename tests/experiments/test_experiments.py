@@ -1,8 +1,9 @@
 """Experiment modules: registry behaviour and the cheap reproductions.
 
-The heavyweight experiments (FIG9-FIG12, EXT1) run in full inside the
+The heavyweight experiments (FIG9-FIG12) run in full inside the
 benchmark harness; here they run shrunk so the whole suite stays quick,
-and only their structural checks are asserted.
+and only their structural checks are asserted.  EXT1 runs at its
+defaults: shrunk, its checks would sit near their tolerances.
 """
 
 import hashlib
@@ -111,6 +112,21 @@ class TestCheapExperiments:
 
     def test_tab2_has_four_rings(self):
         assert len(run_experiment("TAB2").rows) == 4
+
+    def test_ext1_checks_at_defaults(self):
+        # At 256 periods the IRO's response to the 0.2 % ripple already
+        # sits halfway to the responses_match_supply_weights tolerance
+        # (0.61 against 0.69 +/- 0.15); at the default 2048 it is 0.69.
+        result = run_experiment("EXT1")
+        assert set(result.checks) == {
+            "clean_trngs_pass_battery",
+            "ripple_inflates_apparent_jitter",
+            "str_response_lower_than_iro",
+            "responses_match_supply_weights",
+            "deterministic_jitter_carries_no_entropy",
+        }
+        assert result.all_checks_pass, result.failed_checks
+        assert len(result.rows) == 4
 
 
 class TestShrunkExperiments:

@@ -15,34 +15,35 @@ from repro.parallel import ResultCache
 SPECS = [RingSpec("iro", 3), RingSpec("str", 8)]
 
 
-def _campaign(jobs, cache=None, seed=5):
+def _campaign(jobs, cache=None, seed=5, backend="batch"):
     report = run_campaign(
         SPECS,
         voltages_v=(1.0, 1.2, 1.4),
-        jitter_periods=192,
+        jitter_periods=1024,  # two segments per ring
         seed=seed,
         jobs=jobs,
         cache=cache,
-        segment_periods=64,  # force several segments per ring
+        backend=backend,
     )
     return report.to_json()
 
 
+@pytest.mark.parametrize("backend", ["batch", "event"])
 class TestCampaignIdentity:
     @pytest.mark.parametrize("jobs", [2, 4])
-    def test_parallel_matches_serial(self, jobs):
-        assert _campaign(jobs) == _campaign(1)
+    def test_parallel_matches_serial(self, jobs, backend):
+        assert _campaign(jobs, backend=backend) == _campaign(1, backend=backend)
 
-    def test_cached_rerun_is_identical(self, tmp_path):
+    def test_cached_rerun_is_identical(self, tmp_path, backend):
         cache = ResultCache(root=tmp_path, version="1")
-        cold = _campaign(2, cache=cache)
+        cold = _campaign(2, cache=cache, backend=backend)
         assert cache.stats().entry_count > 0
-        warm = _campaign(1, cache=cache)
+        warm = _campaign(1, cache=cache, backend=backend)
         assert warm == cold
         assert cache.hits > 0
 
-    def test_different_seeds_differ(self):
-        assert _campaign(1, seed=5) != _campaign(1, seed=6)
+    def test_different_seeds_differ(self, backend):
+        assert _campaign(1, seed=5, backend=backend) != _campaign(1, seed=6, backend=backend)
 
 
 class TestExt10Identity:

@@ -300,21 +300,24 @@ class TestCampaignShardIdentity:
 
         return [RingSpec("iro", 3), RingSpec("str", 8)]
 
-    def _single_host_json(self):
+    def _single_host_json(self, backend, periods):
         from repro.core.campaign import run_campaign
         from repro.fpga.board import BoardBank
 
         bank = BoardBank.manufacture(board_count=3, seed=7)
         return run_campaign(
-            self._specs(), bank=bank, jitter_periods=1024, seed=5
+            self._specs(), bank=bank, jitter_periods=periods, seed=5, backend=backend
         ).to_json()
 
+    @pytest.mark.parametrize(
+        "backend, periods", [("batch", 1024), ("event", 256)], ids=["batch", "event"]
+    )
     @pytest.mark.parametrize("shard_count", [1, 2, 3, 4])
-    def test_merged_campaign_bit_identical(self, tmp_path, shard_count):
+    def test_merged_campaign_bit_identical(self, tmp_path, shard_count, backend, periods):
         from repro.core.campaign import CAMPAIGN_WORKLOAD, campaign_args
 
         args = dict(
-            campaign_args(self._specs(), jitter_periods=1024, seed=5),
+            campaign_args(self._specs(), jitter_periods=periods, seed=5, backend=backend),
             board_count=3,
             bank_seed=7,
         )
@@ -327,7 +330,7 @@ class TestCampaignShardIdentity:
         assert merged.workload["workload"] == "campaign"
         stats = GridStats()
         assembled = CAMPAIGN_WORKLOAD.replay(merged, stats=stats)
-        assert assembled.to_json() == self._single_host_json()
+        assert assembled.to_json() == self._single_host_json(backend, periods)
         assert stats.executed == 0 and stats.cache_hits == stats.total
 
     def test_campaign_resume_surfaces_cache_hits(self, tmp_path):

@@ -261,21 +261,14 @@ class TestCampaignCommand:
         for label in ("IRO 3C", "IRO 5C", "STR 4C", "STR 96C"):
             assert label in output
 
-    def test_parallel_json_round_trip(self, capsys):
-        argv = ["campaign", "iro:3", "str:8", "--periods", "192", "--json"]
+    @pytest.mark.parametrize("backend", [[], ["--backend", "event"]], ids=["batch", "event"])
+    def test_parallel_json_round_trip(self, capsys, backend):
+        argv = ["campaign", "iro:3", "str:8", "--periods", "192", "--json"] + backend
         assert main(argv + ["--jobs", "2"]) == 0
         parallel = capsys.readouterr().out
         assert main(argv + ["--no-cache"]) == 0
         serial = capsys.readouterr().out
         assert parallel == serial
-
-    @pytest.mark.parametrize("flags", [["--jobs", "2"], ["--no-cache"]])
-    def test_batch_backend_refuses_parallel_flags(self, flags, capsys):
-        argv = ["campaign", "iro:3", "--periods", "128", "--backend", "batch"]
-        assert main(argv + flags) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert flags[0] in captured.err and "--backend batch" in captured.err
 
     def test_token_count_spec(self, capsys):
         assert main(["campaign", "str:16:6", "--periods", "128"]) == 0
@@ -762,14 +755,6 @@ class TestShardingCli:
         assert rc == 2
         assert "--shard-dir" in capsys.readouterr().err
 
-    def test_shard_rejects_batch_backend(self, capsys, tmp_path):
-        rc = main(
-            self.CAMPAIGN
-            + ["--backend", "batch", "--shard", "0/2", "--shard-dir", str(tmp_path / "s")]
-        )
-        assert rc == 2
-        assert "event backend" in capsys.readouterr().err
-
     def test_shard_refuses_no_cache(self, capsys, tmp_path):
         shard = ["--shard", "0/2", "--shard-dir", str(tmp_path / "s")]
         assert main(self.CAMPAIGN + ["--no-cache"] + shard) == 2
@@ -826,8 +811,21 @@ class TestShardingCli:
             {"workload": "toy", "args": {}},
             {"workload": "experiment", "experiment": "EXT12", "repeats": 4},
             {"workload": "campaign", "specs": [], "seed": 0},
+            {
+                "workload": "campaign",
+                "args": {
+                    "specs": [{"kind": "iro", "stage_count": 3, "token_count": None}],
+                    "voltages_v": [1.0],
+                    "jitter_periods": 64,
+                    "q_target": 0.2,
+                    "seed": 0,
+                    "segment_periods": 512,
+                    "board_count": 2,
+                    "bank_seed": 7,
+                },
+            },
         ],
-        ids=["unregistered", "old-ext12-format", "old-campaign-format"],
+        ids=["unregistered", "old-ext12-format", "old-campaign-format", "old-campaign-args"],
     )
     def test_merge_refuses_unknown_workload(self, capsys, tmp_path, workload):
         from repro.parallel import GridTask, ShardSpec, run_shard
@@ -845,19 +843,22 @@ class TestShardingCli:
         assert rc == 2
         assert "shardable experiment" in capsys.readouterr().err
 
-    def test_sharded_campaign_merge_matches_single_host(self, capsys, tmp_path):
+    @pytest.mark.parametrize("backend", [[], ["--backend", "event"]], ids=["batch", "event"])
+    def test_sharded_campaign_merge_matches_single_host(self, capsys, tmp_path, backend):
+        # Two ring families, so each of the two shards owns one grid task.
+        campaign = ["campaign", "iro:3", "str:8", "--boards", "2", "--periods", "512"]
+        campaign += ["--seed", "5"] + backend
         for index in range(2):
             assert main(
-                self.CAMPAIGN
-                + ["--shard", f"{index}/2", "--shard-dir", str(tmp_path / f"s{index}")]
+                campaign + ["--shard", f"{index}/2", "--shard-dir", str(tmp_path / f"s{index}")]
             ) == 0
-        capsys.readouterr()
+            assert "1 of 2 grid points" in capsys.readouterr().out
         assert main(
             ["merge", str(tmp_path / "s0"), str(tmp_path / "s1"),
              "--out", str(tmp_path / "m"), "--json"]
         ) == 0
         merged_json = capsys.readouterr().out
-        assert main(self.CAMPAIGN + ["--json", "--no-cache"]) == 0
+        assert main(campaign + ["--json", "--no-cache"]) == 0
         single_json = capsys.readouterr().out
         assert merged_json == single_json
 
