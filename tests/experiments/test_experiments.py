@@ -204,9 +204,10 @@ class TestShrunkExperiments:
 
 
 class TestPinnedRows:
-    """Rows of the experiments that run their rings through one
-    ``simulate_many`` call, pinned by the SHA-256 of their JSON as they
-    were when each ring ran on its own kernel call."""
+    """Default rows pinned by the SHA-256 of their JSON: the experiments
+    that run their rings through one ``simulate_many`` call, as they were
+    when each ring ran on its own kernel call, and EXT10, as it was
+    before the supervisor's recovery ladder became a loop over rungs."""
 
     @pytest.mark.parametrize(
         "experiment_id, digest",
@@ -215,6 +216,7 @@ class TestPinnedRows:
             ("FIG9", "cb00fdcf29269a9a65445d9023de416d4c59f3991708bbad679fc49c3dbc05dc"),
             ("EXT5", "253126289d4488608c8192ebe98293f61d4c053a4d51a05e03a48181388419b3"),
             ("ABL1", "10ba4a985e03edbb0e365acedc407ab66003c5def5a37bac60510aa0a0016933"),
+            ("EXT10", "a166a910476a8edcd99659621f45dc59d669577254bc846e57822b01ef613b47"),
         ],
     )
     def test_default_rows_unchanged(self, experiment_id, digest):

@@ -1,5 +1,6 @@
 """Supervised TRNG runtime: state machine, recovery ladder, event log."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.faults import (
     StuckStageFault,
     SupplyRippleFault,
     VoltageBrownoutFault,
+    standard_fault,
 )
 from repro.fpga.board import Board
 from repro.trng.health import HealthMonitor
@@ -531,3 +533,39 @@ class TestEventSerialization:
         assert rebuilt.kinds() == original.kinds()
         assert list(rebuilt) == list(original)
         assert rebuilt.render() == original.render()
+
+
+def run_digest(result):
+    """SHA-256 of a run's event log plus its emitted bits."""
+    digest = hashlib.sha256(
+        json.dumps(result.events.to_dict(), sort_keys=True).encode()
+    )
+    digest.update(np.asarray(result.bits, dtype=np.uint8).tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedRuns:
+    """Two recovery paths pinned event for event and bit for bit."""
+
+    def test_brownout_failover(self, board):
+        trng = SupervisedTrng(
+            IRO5, board=board, policy=RecoveryPolicy(backup_specs=(STR48,))
+        )
+        result = trng.run(6144, scenario=scheduled(VoltageBrownoutFault(0.95)), seed=11)
+        assert "failover" in result.events.kinds()
+        assert run_digest(result) == (
+            "ed1f2c41d608479db464825982fa3758fa0ce3c81403cc89e538d17bb5d8ad77"
+        )
+
+    def test_shared_glitch_degraded_mode(self, board):
+        # EXT10's glitch @ 0.50 cell: onset 0.25 s, cell seed 154.
+        trng = SupervisedTrng(
+            IRO5, board=board, policy=RecoveryPolicy(backup_specs=(STR48,))
+        )
+        scenario = scheduled(standard_fault("glitch", 0.5), start_s=0.25)
+        result = trng.run(10_240, scenario=scenario, seed=154)
+        assert result.final_state is TrngState.DEGRADED
+        assert "degraded_mode" in result.events.kinds()
+        assert run_digest(result) == (
+            "444876fb0739b8850bc2f2e1bde3a5d6022f2179ce2c9f40a3aa6d0d48d6d3c5"
+        )

@@ -148,3 +148,22 @@ class TestCheapClaimsEndToEnd:
         assert outcome.passed
         assert outcome.observed["final_state"] == "online"
         assert "failover" in outcome.observed["event_kinds"]
+
+
+class TestSupervisorClaimsSeedSweep:
+    """The supervised-runtime claims hold at every root seed, not just
+    the default one: each quick-tier sweep (five derived seeds) passes
+    outright at root seeds 0-19."""
+
+    @pytest.mark.parametrize("claim_id", ["EXT-FAILOVER", "EXT-FAILSAFE"])
+    def test_quick_tier_passes_at_root_seeds_0_to_19(self, claim_id):
+        from repro.verify import run_verification
+
+        failing = []
+        for root_seed in range(20):
+            (sweep,) = run_verification(
+                [claim_id], tier="quick", root_seed=root_seed, jobs=1
+            ).sweeps
+            if sweep.pass_count != sweep.trials:
+                failing.append((root_seed, [o.detail for o in sweep.failures]))
+        assert not failing, failing
