@@ -450,7 +450,7 @@ def _command_report_md(args: argparse.Namespace) -> int:
 def _command_faults(args: argparse.Namespace) -> int:
     from repro.core.campaign import RingSpec
     from repro.faults import FaultSchedule, ScheduledFault, demo_schedule, standard_fault
-    from repro.trng.supervisor import RecoveryPolicy, SupervisedTrng
+    from repro.trng.supervisor import SupervisedTrng
 
     if args.matrix:
         result = get_experiment("EXT10")(**_run_overrides("EXT10", args))
@@ -472,9 +472,7 @@ def _command_faults(args: argparse.Namespace) -> int:
             name=f"{args.fault}@{args.severity:g}",
         )
     backups = () if args.no_backup else (RingSpec("str", 48),)
-    trng = SupervisedTrng(
-        RingSpec("iro", 5), policy=RecoveryPolicy(backup_specs=backups)
-    )
+    trng = SupervisedTrng(RingSpec("iro", 5), backups)
     result = trng.run(args.bits, scenario=scenario, seed=args.seed)
 
     print(f"scenario: {scenario.describe()}")

@@ -43,12 +43,7 @@ from repro.faults import FAULT_KINDS, FaultSchedule, ScheduledFault, standard_fa
 from repro.fpga.board import Board
 from repro.parallel.cache import ResultCache, fingerprint
 from repro.parallel.executor import GridTask, run_grid
-from repro.trng.supervisor import (
-    RecoveryPolicy,
-    SupervisedRunResult,
-    SupervisedTrng,
-    TrngState,
-)
+from repro.trng.supervisor import SupervisedRunResult, SupervisedTrng, TrngState
 
 #: Recovery-outcome labels, from best to worst.
 OUTCOME_ORDER: Tuple[str, ...] = (
@@ -110,8 +105,8 @@ def _cell_worker(task: GridTask) -> Dict[str, Any]:
     )
     trng = SupervisedTrng(
         payload["primary"],
+        (backup,) if backup is not None else (),
         board=payload["board"],
-        policy=RecoveryPolicy(backup_specs=(backup,) if backup is not None else ()),
         block_bits=payload["block_bits"],
     )
     result = trng.run(payload["bit_budget"], scenario=scenario, seed=task.seed)

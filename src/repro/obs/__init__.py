@@ -6,8 +6,8 @@ telemetry plane (:mod:`repro.telemetry`):
 * :mod:`repro.obs.drift` — online EWMA/CUSUM control charts over
   per-channel health statistics, the early-warning complement to the
   AIS-31 trip wires.  Wire into a serve pool with
-  :meth:`repro.serve.pool.TrngPool.attach_drift_monitors` or into a
-  supervised run via :attr:`repro.trng.supervisor.SupervisedTrng.block_observer`;
+  :meth:`repro.serve.pool.TrngPool.attach_drift_monitors` (what
+  ``repro serve --drift`` does);
 * :mod:`repro.obs.dashboard` — the ``repro dash`` terminal dashboard:
   scrapes the exposition sidecar (or tails its JSONL replay log) and
   renders pool health, per-channel state, SLO gauges and drift

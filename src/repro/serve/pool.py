@@ -9,10 +9,10 @@ bit sources and turns them into one stream of *health-gated* bytes:
 * a channel whose block alarms is **quarantined** and the pool fails
   over to the next healthy channel (round-robin);
 * quarantined channels are **re-admitted** only after passing a probe
-  (``probe_blocks`` clean blocks through a fresh monitor), scheduled by
-  bounded exponential backoff with deterministic jitter
-  (:class:`~repro.trng.supervisor.BackoffSchedule` — the same schedule
-  the supervisor's retry rung uses);
+  (``probe_blocks`` clean blocks through a fresh monitor), scheduled on
+  the pool clock by bounded exponential backoff with deterministic
+  jitter (:class:`~repro.trng.supervisor.BackoffSchedule`) while the
+  other channels serve;
 * a channel that flaps (gets quarantined) more than ``max_flaps`` times
   trips a **circuit breaker** and is retired for good;
 * when fewer than ``min_healthy`` channels remain the pool reports
@@ -23,7 +23,8 @@ bit sources and turns them into one stream of *health-gated* bytes:
   fault scenarios still expire.
 
 Every transition lands in the same structured
-:class:`~repro.trng.supervisor.EventLog` the supervisor uses (kinds
+:class:`~repro.trng.supervisor.EventLog` the supervisor uses, written
+through the same :func:`~repro.trng.supervisor.log_event` (kinds
 ``quarantine``, ``readmit``, ``readmit_failed``, ``circuit_open``,
 ``fault_injected``, ``fault_cleared``), and a :class:`LedgerEntry` per
 sampled block records the ground truth the chaos harness asserts on:
@@ -49,9 +50,16 @@ every state transition; a steady run of clean blocks writes none.
 
 Faults are injected as :class:`~repro.faults.base.FaultScenario` values
 against the pool's deterministic clock (bits sampled x reference
-period), exactly like the supervised runtime — so a brownout/glitch
-storm drives the pool the same way it drives EXT10, independent of
-wall-clock scheduling.
+period), read through the supervisor's
+:func:`~repro.trng.supervisor.fault_effect` from the injection epoch,
+and sampled by :meth:`~repro.trng.supervisor.RingChannel.sample_block`
+with the same upset locality (a local glitch hits only the first
+channel) — so a brownout/glitch storm drives the pool the same way it
+drives EXT10, independent of wall-clock scheduling.  Probes run through
+the shared :func:`~repro.trng.supervisor.health_probe`.  What the pool
+does *not* share is the supervisor's ladder: it never XORs channels,
+and it waits out a bad channel on the pool clock instead of discarding
+that channel's blocks (see DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -64,13 +72,22 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.base import NOMINAL_EFFECT, FaultEffect, FaultScenario
+from repro.faults.base import NOMINAL_EFFECT, FaultScenario
 from repro.fpga.board import Board
 from repro.simulation.noise import SeedLike, make_rng
-from repro.telemetry import default_registry, emit_event
-from repro.trng.health import HealthMonitor
+from repro.telemetry import default_registry
+from repro.trng.health import CLAIMED_MIN_ENTROPY, PROPORTION_WINDOW, HealthMonitor
 from repro.trng.phasewalk import PhaseWalkTrng, generate_rows
-from repro.trng.supervisor import BackoffSchedule, EventLog, RingChannel, SupervisorEvent
+from repro.trng.supervisor import (
+    Q_TARGET,
+    BackoffSchedule,
+    EventLog,
+    RingChannel,
+    SupervisorEvent,
+    fault_effect,
+    health_probe,
+    log_event,
+)
 
 
 # Entries kept in ``TrngPool.ledger``; older ones leave the window.
@@ -98,9 +115,9 @@ class PoolConfig:
     """Tuning of the pool's robustness machinery."""
 
     block_bits: int = 512
-    claimed_min_entropy: float = 0.9
-    window: int = 512
-    q_target: float = 0.2
+    claimed_min_entropy: float = CLAIMED_MIN_ENTROPY
+    window: int = PROPORTION_WINDOW
+    q_target: float = Q_TARGET
     probe_blocks: int = 2
     backoff: BackoffSchedule = BackoffSchedule(
         base_blocks=2, factor=2.0, max_blocks=64, jitter=0.25, seed=0
@@ -119,6 +136,10 @@ class PoolConfig:
             raise ValueError(f"max flaps must be positive, got {self.max_flaps}")
         if self.min_healthy < 1:
             raise ValueError(f"min healthy must be positive, got {self.min_healthy}")
+
+    def monitor(self) -> HealthMonitor:
+        """A fresh health monitor at this configuration."""
+        return HealthMonitor(self.claimed_min_entropy, self.window)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,9 +175,7 @@ class PoolChannel:
     ) -> None:
         self.name = name
         self.ring = RingChannel(spec, board, q_target=config.q_target)
-        self.monitor = HealthMonitor(
-            claimed_min_entropy=config.claimed_min_entropy, window=config.window
-        )
+        self.monitor = config.monitor()
         self.state = ChannelState.HEALTHY
         self.flap_count = 0  # times quarantined over the channel's life
         self.backoff_attempt = 0  # consecutive failed re-admission probes
@@ -332,28 +351,13 @@ class TrngPool:
             self._log("fault_cleared", detail=self._scenario.describe())
         self._scenario = None
 
-    def _effect(self) -> FaultEffect:
-        if self._scenario is None:
-            return NOMINAL_EFFECT
-        return self._scenario.effect_at(self._time_s - self._scenario_epoch_s)
-
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
     def _log(self, kind: str, detail: str = "", state_from: str = "", state_to: str = "") -> None:
-        event = SupervisorEvent(
-            kind=kind,
-            time_s=self._time_s,
-            bit_position=self._blocks_sampled * self._config.block_bits,
-            state_from=state_from,
-            state_to=state_to,
-            detail=detail,
-        )
-        self.events.append(event)
-        emit_event(f"serve.pool.{kind}", **event.to_dict())
-        registry = default_registry()
-        registry.counter("repro.serve.pool.events").inc()
-        registry.counter(f"repro.serve.pool.{kind}").inc()
+        position = self._blocks_sampled * self._config.block_bits
+        event = SupervisorEvent(kind, self._time_s, position, state_from, state_to, detail)
+        log_event(self.events, event, "serve.pool", "repro.serve.pool")
 
     _CHANNEL_STATE_CODES = {
         ChannelState.HEALTHY: 0.0,
@@ -392,10 +396,9 @@ class TrngPool:
 
     def _sample(self, channel: PoolChannel) -> tuple:
         """Sample one block from ``channel`` under the active effect."""
-        effect = self._effect()
-        apply_upsets = (not effect.upset_local) or channel is self.channels[0]
+        effect = fault_effect(self._scenario, self._time_s, self._scenario_epoch_s)
         bits, status = channel.ring.sample_block(
-            self._config.block_bits, self._rng, effect, apply_upsets=apply_upsets
+            self._config.block_bits, self._rng, effect, primary=channel is self.channels[0]
         )
         self._time_s += channel.block_period_s
         self._blocks_sampled += 1
@@ -436,17 +439,12 @@ class TrngPool:
 
     def _probe(self, channel: PoolChannel) -> bool:
         """Health-check ``probe_blocks`` fresh blocks; bits are discarded."""
-        monitor = HealthMonitor(
-            claimed_min_entropy=self._config.claimed_min_entropy,
-            window=self._config.window,
+        healthy, _ = health_probe(
+            self._config.monitor(),
+            self._config.probe_blocks,
+            lambda: self._sample(channel),
+            lambda bits, status, alarms: self._record(channel, "probe", status, alarms, False),
         )
-        healthy = True
-        for _ in range(self._config.probe_blocks):
-            bits, status = self._sample(channel)
-            alarms = monitor.ingest(bits)
-            self._record(channel, "probe", status, len(alarms), False)
-            if alarms:
-                healthy = False
         return healthy
 
     def _try_readmit(self) -> None:

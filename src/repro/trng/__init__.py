@@ -59,7 +59,6 @@ from repro.trng.supervisor import (
     THERMAL_UPSET_C,
     BlockRecord,
     EventLog,
-    RecoveryPolicy,
     RingChannel,
     SupervisedRunResult,
     SupervisedTrng,
@@ -105,7 +104,6 @@ __all__ = [
     "THERMAL_UPSET_C",
     "BlockRecord",
     "EventLog",
-    "RecoveryPolicy",
     "RingChannel",
     "SupervisedRunResult",
     "SupervisedTrng",

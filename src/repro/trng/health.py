@@ -120,6 +120,13 @@ def _occurrences(segment: np.ndarray, reference: int) -> int:
     return ones if reference == 1 else segment.size - ones
 
 
+#: The min-entropy claim and adaptive-proportion window a monitor runs
+#: at unless configured otherwise (the supervisor always does; the serve
+#: pool's ``PoolConfig`` defaults to them).
+CLAIMED_MIN_ENTROPY: float = 0.9
+PROPORTION_WINDOW: int = 512
+
+
 class HealthMonitor:
     """Streaming health monitor for a binary source.
 
@@ -130,8 +137,8 @@ class HealthMonitor:
 
     def __init__(
         self,
-        claimed_min_entropy: float = 0.9,
-        window: int = 512,
+        claimed_min_entropy: float = CLAIMED_MIN_ENTROPY,
+        window: int = PROPORTION_WINDOW,
         alpha_exponent: int = 20,
     ) -> None:
         self.claimed_min_entropy = claimed_min_entropy

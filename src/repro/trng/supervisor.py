@@ -8,11 +8,12 @@ behind an AIS-31-style state machine::
 
 Bits are produced block by block; every block passes through the
 SP 800-90B :class:`~repro.trng.health.HealthMonitor` *before* it may be
-emitted, and a raised alarm triggers a configurable recovery ladder
-(:class:`RecoveryPolicy`):
+emitted, and a raised alarm walks a fixed recovery ladder, rung by rung
+(its sizes are the module constants :data:`STARTUP_BLOCKS`,
+:data:`MAX_RETRIES` and :data:`RETRY_WAIT_BLOCKS`):
 
-1. **bounded retry with backoff** — discard blocks and re-sample (a
-   transient disturbance clears itself);
+1. **bounded retry** — discard a block, then probe (a transient
+   disturbance clears itself);
 2. **ring restart** — power-cycle the source (breaks latch-up, not a
    persistent environmental fault);
 3. **failover** — bring up a backup ring spec (the paper's punchline:
@@ -24,6 +25,15 @@ emitted, and a raised alarm triggers a configurable recovery ladder
 Every transition is appended to a structured :class:`EventLog`, so both
 tests and the EXT10 coverage campaign can assert on *exact* recovery
 sequences rather than on summary statistics.
+
+The serving pool (:mod:`repro.serve.pool`) gates its blocks with the
+same parts: :class:`RingChannel` sampling (upset locality included),
+:func:`fault_effect` for the fault clock, :func:`health_probe` for a
+probe through a fresh monitor and :func:`log_event` for the log and
+its telemetry.  Its recovery differs on purpose: it rotates healthy
+channels and waits on the pool clock, where the supervisor serves from
+one source at a time, waits by discarding that source's blocks and
+XORs the survivors when degraded.
 
 Fault translation
 -----------------
@@ -49,7 +59,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import functools
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +79,17 @@ LOCK_THRESHOLD: float = 0.85
 
 #: Junction temperature above which the oscillation margin collapses.
 THERMAL_UPSET_C: float = 120.0
+
+#: Quality-factor target each channel's reference clock is provisioned
+#: for, at the nominal operating point.
+Q_TARGET: float = 0.2
+
+#: The recovery ladder: clean blocks a source must pass to go online or
+#: to take over by failover, retry probes before the ring restart, and
+#: blocks discarded before each retry probe.
+STARTUP_BLOCKS: int = 2
+MAX_RETRIES: int = 2
+RETRY_WAIT_BLOCKS: int = 1
 
 
 class TrngState(enum.Enum):
@@ -200,29 +222,6 @@ class BlockRecord:
 
 
 @dataclasses.dataclass(frozen=True)
-class BlockObservation:
-    """One sampled block as seen by a :attr:`SupervisedTrng.block_observer`.
-
-    The observer hook is how the drift plane (:mod:`repro.obs.drift`)
-    watches a supervised run without the supervisor importing it: every
-    sampled block — probe or serve, emitted or discarded — is handed
-    over with its bits, the stream clock, and the health verdict.
-    """
-
-    bits: np.ndarray
-    time_s: float
-    position: int
-    channel: str
-    status: str
-    alarm_count: int
-    emitted: bool
-
-
-#: Signature of the per-block observer hook.
-BlockObserver = Callable[[BlockObservation], None]
-
-
-@dataclasses.dataclass(frozen=True)
 class BackoffSchedule:
     """Bounded exponential backoff with deterministic jitter, in blocks.
 
@@ -268,47 +267,6 @@ class BackoffSchedule:
         return max(0, int(round(raw)))
 
 
-@dataclasses.dataclass(frozen=True)
-class RecoveryPolicy:
-    """Configuration of the recovery ladder.
-
-    The retry rung waits ``retry_backoff_blocks * retry_backoff_factor**k``
-    discarded blocks before probe ``k``, capped at
-    ``retry_backoff_max_blocks`` and jittered deterministically by
-    ``retry_jitter`` (seeded with ``retry_jitter_seed``).  The defaults
-    (factor 1, no jitter) reproduce the historical fixed-wait behaviour
-    block for block, so existing EXT10 / verify claims are unchanged.
-    """
-
-    startup_blocks: int = 2
-    max_retries: int = 2
-    retry_backoff_blocks: int = 1
-    retry_backoff_factor: float = 1.0
-    retry_backoff_max_blocks: Optional[int] = None
-    retry_jitter: float = 0.0
-    retry_jitter_seed: int = 0
-    allow_restart: bool = True
-    backup_specs: Tuple = ()
-    allow_degraded: bool = True
-
-    def __post_init__(self) -> None:
-        if self.startup_blocks < 1:
-            raise ValueError(f"need at least one startup block, got {self.startup_blocks}")
-        if self.max_retries < 0:
-            raise ValueError(f"retries must be non-negative, got {self.max_retries}")
-        self.backoff()  # validates the backoff fields
-
-    def backoff(self) -> BackoffSchedule:
-        """The retry rung's wait schedule (see :class:`BackoffSchedule`)."""
-        return BackoffSchedule(
-            base_blocks=self.retry_backoff_blocks,
-            factor=self.retry_backoff_factor,
-            max_blocks=self.retry_backoff_max_blocks,
-            jitter=self.retry_jitter,
-            seed=self.retry_jitter_seed,
-        )
-
-
 class RingChannel:
     """One ring-backed bit source, resolvable under a fault effect.
 
@@ -318,10 +276,9 @@ class RingChannel:
     when the environment drifts — that asymmetry is the whole point).
     """
 
-    def __init__(self, spec, board: Board, q_target: float = 0.2) -> None:
+    def __init__(self, spec, board: Board, q_target: float = Q_TARGET) -> None:
         self._spec = spec
         self._board = board
-        self._q_target = float(q_target)
         ring = spec.build(board)
         self._supply_weight = ring.mean_supply_weight
         self._reference_period_ps = reference_period_for_q(
@@ -334,10 +291,6 @@ class RingChannel:
     @property
     def name(self) -> str:
         return getattr(self._spec, "label", repr(self._spec))
-
-    @property
-    def spec(self):
-        return self._spec
 
     @property
     def reference_period_ps(self) -> float:
@@ -403,20 +356,79 @@ class RingChannel:
         bit_count: int,
         rng: np.random.Generator,
         effect: FaultEffect = NOMINAL_EFFECT,
-        apply_upsets: bool = True,
+        primary: bool = True,
     ) -> Tuple[np.ndarray, str]:
-        """Sample one block of raw bits under the given effect."""
+        """Sample one block of raw bits under the given effect.
+
+        Sampler upsets hit every channel when they come from a shared
+        net, but only the ``primary`` channel's sampler when the effect
+        is local (``effect.upset_local``).
+        """
         status, model = self.resolve(effect)
         if model is None:
             # A dead or locked ring leaves the sampler reading a frozen
             # level: the last captured value, held.
             return np.full(bit_count, self._held_bit, dtype=int), status
         bits = model.generate(bit_count, seed=rng, modulation=effect.modulation)
-        if apply_upsets and effect.upset_fraction > 0.0:
+        if effect.upset_fraction > 0.0 and (primary or not effect.upset_local):
             upset = rng.random(bit_count) < effect.upset_fraction
             bits[upset] = effect.upset_value
         self._held_bit = int(bits[-1])
         return bits, status
+
+
+# ----------------------------------------------------------------------
+# The recovery core both runtimes share (this module and repro.serve.pool)
+# ----------------------------------------------------------------------
+def log_event(
+    log: EventLog, event: SupervisorEvent, trace_prefix: str, counter_prefix: str
+) -> None:
+    """Append ``event`` to ``log`` and mirror it into telemetry.
+
+    The structured log stays the assertable source of truth; the same
+    transition lands on the trace timeline as ``{trace_prefix}.{kind}``
+    and in the counters ``{counter_prefix}.events`` and
+    ``{counter_prefix}.{kind}``.
+    """
+    log.append(event)
+    emit_event(f"{trace_prefix}.{event.kind}", **event.to_dict())
+    registry = default_registry()
+    registry.counter(f"{counter_prefix}.events").inc()
+    registry.counter(f"{counter_prefix}.{event.kind}").inc()
+
+
+def fault_effect(
+    scenario: Optional[FaultScenario], time_s: float, epoch_s: float = 0.0
+) -> FaultEffect:
+    """The effect of ``scenario``, injected at stream time ``epoch_s``, at
+    stream time ``time_s``; nominal when no scenario is active."""
+    if scenario is None:
+        return NOMINAL_EFFECT
+    return scenario.effect_at(time_s - epoch_s)
+
+
+def health_probe(
+    monitor: HealthMonitor,
+    blocks: int,
+    sample: Callable[[], Tuple[np.ndarray, str]],
+    record: Callable[[np.ndarray, str, int], None],
+) -> Tuple[bool, str]:
+    """Health-check ``blocks`` freshly sampled blocks through ``monitor``.
+
+    ``monitor`` must be fresh, so the verdict covers the probe alone;
+    ``record(bits, status, alarm_count)`` books each block as discarded
+    (probe bits are never emitted).  Returns (no block alarmed, the last
+    non-"ok" channel status or "ok").
+    """
+    healthy, worst_status = True, "ok"
+    for _ in range(blocks):
+        bits, status = sample()
+        alarms = monitor.ingest(bits)
+        record(bits, status, len(alarms))
+        healthy = healthy and not alarms
+        if status != "ok":
+            worst_status = status
+    return healthy, worst_status
 
 
 @dataclasses.dataclass
@@ -469,59 +481,44 @@ class SupervisedTrng:
     ----------
     primary:
         A ring spec (anything with ``build(board)`` and ``label``, i.e.
-        :class:`repro.core.campaign.RingSpec`) or a prebuilt
-        :class:`RingChannel`.
+        :class:`repro.core.campaign.RingSpec`).
+    backups:
+        Ring specs the failover rung tries, in order.
     board:
         The board everything runs on; defaults to a nominal board.
-    policy:
-        The recovery ladder configuration, including backup specs.
     block_bits:
         Supervision granularity: bits sampled, health-checked and then
         emitted or discarded as one unit.
-    claimed_min_entropy / window:
-        Health-monitor configuration (see :class:`HealthMonitor`).
-    q_target:
-        Quality-factor target used to provision each channel's
-        reference clock at the nominal operating point.
+
+    Every channel's reference clock is provisioned at :data:`Q_TARGET`
+    and every health monitor runs at the :class:`HealthMonitor`
+    defaults, the values :class:`repro.serve.pool.PoolConfig` defaults
+    to as well.
     """
 
     def __init__(
         self,
         primary,
+        backups: Sequence = (),
         board: Optional[Board] = None,
-        policy: RecoveryPolicy = RecoveryPolicy(),
         block_bits: int = 512,
-        claimed_min_entropy: float = 0.9,
-        window: int = 512,
-        q_target: float = 0.2,
     ) -> None:
         if block_bits < 16:
             raise ValueError(f"block size must be at least 16 bits, got {block_bits}")
         self._board = board if board is not None else Board()
-        if isinstance(primary, RingChannel):
-            self._primary = primary
-        else:
-            self._primary = RingChannel(primary, self._board, q_target=q_target)
-        self._policy = policy
+        self._primary = RingChannel(primary, self._board)
+        self._backup_specs = tuple(backups)
         self._block_bits = int(block_bits)
-        self._claimed_min_entropy = float(claimed_min_entropy)
-        self._window = int(window)
-        self._q_target = float(q_target)
-        self._backup_channels: Optional[List[RingChannel]] = None
         self.state = TrngState.STARTUP
-        #: Optional per-block hook (:data:`BlockObserver`): called for
-        #: every sampled block with a :class:`BlockObservation`.  Used
-        #: by ``repro.obs`` to run drift charts alongside a supervised
-        #: run; ``None`` costs a single attribute check per block.
-        self.block_observer: Optional[BlockObserver] = None
 
     @property
     def primary(self) -> RingChannel:
         return self._primary
 
-    @property
-    def policy(self) -> RecoveryPolicy:
-        return self._policy
+    @functools.cached_property
+    def backups(self) -> List[RingChannel]:
+        """The backup channels in failover order, built on first use."""
+        return [RingChannel(spec, self._board) for spec in self._backup_specs]
 
     @property
     def block_bits(self) -> int:
@@ -530,23 +527,8 @@ class SupervisedTrng:
     def reset(self) -> None:
         """Service the generator: clear the failure latch, restart rings."""
         self.state = TrngState.STARTUP
-        self._primary.restart()
-        if self._backup_channels:
-            for channel in self._backup_channels:
-                channel.restart()
-
-    def _backups(self) -> List[RingChannel]:
-        if self._backup_channels is None:
-            self._backup_channels = [
-                RingChannel(spec, self._board, q_target=self._q_target)
-                for spec in self._policy.backup_specs
-            ]
-        return self._backup_channels
-
-    def _fresh_monitor(self) -> HealthMonitor:
-        return HealthMonitor(
-            claimed_min_entropy=self._claimed_min_entropy, window=self._window
-        )
+        for channel in [self._primary, *self.backups]:
+            channel.restart()
 
     # ------------------------------------------------------------------
     # supervised generation
@@ -594,76 +576,51 @@ class _SupervisedRun:
         self._scenario = scenario
         self._rng = rng
         self._active: List[RingChannel] = [owner.primary]
-        self._monitor = owner._fresh_monitor()
+        self._monitor = HealthMonitor()
         self._events = EventLog()
         self._blocks: List[BlockRecord] = []
         self._emitted: List[np.ndarray] = []
         self._position = 0
         self._time_s = 0.0
+        self._block_start = (0, 0.0)  # (position, time) of the last sampled block
         self._state = TrngState.STARTUP
 
     # -- plumbing ------------------------------------------------------
-    def _effect(self) -> FaultEffect:
-        if self._scenario is None:
-            return NOMINAL_EFFECT
-        return self._scenario.effect_at(self._time_s)
-
     def _log(self, kind: str, state_to: TrngState, detail: str = "") -> None:
         event = SupervisorEvent(
-            kind=kind,
-            time_s=self._time_s,
-            bit_position=self._position,
-            state_from=self._state.value,
-            state_to=state_to.value,
-            detail=detail,
+            kind, self._time_s, self._position, self._state.value, state_to.value, detail
         )
-        self._events.append(event)
+        log_event(self._events, event, "supervisor", "repro.trng.supervisor")
         self._state = state_to
-        # Bridge into the telemetry layer: the structured log stays the
-        # assertable source of truth, but the same transition lands on
-        # the trace timeline (under the supervised_run span) and in the
-        # per-kind counters.
-        emit_event(f"supervisor.{kind}", **event.to_dict())
-        registry = default_registry()
-        registry.counter("repro.trng.supervisor.events").inc()
-        registry.counter(f"repro.trng.supervisor.{kind}").inc()
 
-    def _sample(
-        self, channels: Sequence[RingChannel]
-    ) -> Tuple[np.ndarray, str, int, float]:
+    def _sample(self, channels: Sequence[RingChannel]) -> Tuple[np.ndarray, str]:
         """Sample one block from ``channels`` (XOR when several).
 
-        Returns (bits, status, start position, start time); advances the
+        Returns (bits, the first non-"ok" status or "ok"); advances the
         stream clock by the slowest participating reference period.
         """
-        effect = self._effect()
+        effect = fault_effect(self._scenario, self._time_s)
         block_bits = self._owner.block_bits
-        position, time_s = self._position, self._time_s
         combined: Optional[np.ndarray] = None
-        statuses: List[str] = []
-        for index, channel in enumerate(channels):
-            apply_upsets = (not effect.upset_local) or channel is self._owner.primary
-            bits, status = channel.sample_block(
-                block_bits, self._rng, effect, apply_upsets=apply_upsets
+        status = "ok"
+        for channel in channels:
+            bits, channel_status = channel.sample_block(
+                block_bits, self._rng, effect, primary=channel is self._owner.primary
             )
-            statuses.append(status)
             combined = bits if combined is None else (combined ^ bits)
-        status = next((s for s in statuses if s != "ok"), "ok")
+            if status == "ok":
+                status = channel_status
         slowest_ps = max(channel.reference_period_ps for channel in channels)
+        self._block_start = (self._position, self._time_s)
         self._position += block_bits
         self._time_s += block_bits * slowest_ps * 1.0e-12
-        return combined, status, position, time_s
+        return combined, status
 
     def _record(
-        self,
-        bits: np.ndarray,
-        status: str,
-        position: int,
-        time_s: float,
-        alarm_count: int,
-        emitted: bool,
-        channel_name: str,
+        self, bits: np.ndarray, status: str, alarm_count: int, emitted: bool
     ) -> None:
+        """Keep the ground truth of the block :meth:`_sample` just drew."""
+        position, time_s = self._block_start
         self._blocks.append(
             BlockRecord(
                 index=len(self._blocks),
@@ -671,26 +628,13 @@ class _SupervisedRun:
                 size=int(bits.size),
                 time_s=time_s,
                 state=self._state.value,
-                channel=channel_name,
+                channel=self._active_name(),
                 status=status,
                 alarm_count=alarm_count,
                 emitted=emitted,
                 ones=int(np.sum(bits)),
             )
         )
-        observer = self._owner.block_observer
-        if observer is not None:
-            observer(
-                BlockObservation(
-                    bits=bits,
-                    time_s=time_s,
-                    position=position,
-                    channel=channel_name,
-                    status=status,
-                    alarm_count=alarm_count,
-                    emitted=emitted,
-                )
-            )
 
     def _active_name(self) -> str:
         if len(self._active) == 1:
@@ -702,109 +646,74 @@ class _SupervisedRun:
         single source, DEGRADED while the XOR set is active."""
         return TrngState.ONLINE if len(self._active) == 1 else TrngState.DEGRADED
 
-    # -- health-checked probes -----------------------------------------
-    def _probe(self, channels: Sequence[RingChannel], blocks: int = 1):
-        """Sample ``blocks`` blocks and health-check them in isolation.
-
-        Returns (healthy, concatenated bits, status, first position).
-        Probe bits are never emitted by the caller unless healthy.
-        """
-        monitor = self._owner._fresh_monitor()
-        collected: List[np.ndarray] = []
-        first_position = self._position
-        worst_status = "ok"
-        for _ in range(blocks):
-            bits, status, position, time_s = self._sample(channels)
-            alarms = monitor.ingest(bits)
-            if status != "ok":
-                worst_status = status
-            self._record(
-                bits, status, position, time_s, len(alarms), False, self._active_name()
-            )
-            collected.append(bits)
-        return monitor.healthy, np.concatenate(collected), worst_status, first_position
+    def _probe(self, channels: Sequence[RingChannel], blocks: int = 1) -> Tuple[bool, str]:
+        """Health-check ``blocks`` blocks of ``channels``; never emitted."""
+        return health_probe(
+            HealthMonitor(),
+            blocks,
+            lambda: self._sample(channels),
+            lambda bits, status, alarm_count: self._record(
+                bits, status, alarm_count, False
+            ),
+        )
 
     # -- recovery ladder ------------------------------------------------
+    def _rungs(self) -> Iterator[Tuple[List[RingChannel], int, Tuple[str, str], Tuple[str, str]]]:
+        """The recovery ladder, one rung per item, built as it is walked.
+
+        A rung is (channels to probe, probe blocks, (event kind, detail)
+        on success, (event kind, detail before ``status=``) on failure).
+        The work before a rung's probe (discarding blocks, restarting
+        rings) happens when the walk reaches it.
+        """
+        # 1. bounded retry: discard, then probe.
+        for attempt in range(1, MAX_RETRIES + 1):
+            for _ in range(RETRY_WAIT_BLOCKS):
+                self._record(*self._sample(self._active), 0, False)
+            failed = ("retry_failed", f"attempt={attempt} ")
+            yield self._active, 1, ("recovered", "mechanism=retry"), failed
+        # 2. ring restart.
+        for channel in self._active:
+            channel.restart()
+        self._log("ring_restart", TrngState.ALARMED, detail=self._active_name())
+        yield self._active, 1, ("recovered", "mechanism=restart"), ("restart_failed", "")
+        # 3. failover to each backup but the one already serving.
+        for backup in self._owner.backups:
+            if backup is not self._active[0]:
+                to = f"to={backup.name}"
+                yield [backup], STARTUP_BLOCKS, ("failover", to), ("failover_failed", f"{to} ")
+        # 4. XOR-degraded mode over every surviving ring.  Its probe
+        # blocks are recorded under the XOR set's name, so the set is
+        # active during the probe and put back if the probe fails.
+        effect = fault_effect(self._scenario, self._time_s)
+        survivors = [
+            channel
+            for channel in [self._owner.primary, *self._owner.backups]
+            if channel.resolve(effect)[1] is not None
+        ]
+        if len(survivors) >= 2:
+            previous, self._active = self._active, survivors
+            yield survivors, 1, ("degraded_mode", self._active_name()), ("degraded_failed", "")
+            self._active = previous
+
     def _recover(self) -> bool:
         """Walk the recovery ladder; True when generation may continue."""
-        policy = self._owner._policy
-        backoff = policy.backoff()
-        # 1. bounded retry with backoff: discard, then probe.
-        for attempt in range(policy.max_retries):
-            for _ in range(backoff.blocks(attempt)):
-                bits, status, position, time_s = self._sample(self._active)
-                self._record(
-                    bits, status, position, time_s, 0, False, self._active_name()
-                )
-            healthy, probe_bits, status, _ = self._probe(self._active)
+        for channels, blocks, (kind, detail), (failed_kind, prefix) in self._rungs():
+            healthy, status = self._probe(channels, blocks)
             if healthy:
-                self._log("recovered", self._steady_state(), detail="mechanism=retry")
-                self._monitor = self._owner._fresh_monitor()
+                self._active = channels
+                self._log(kind, self._steady_state(), detail=detail)
+                self._monitor = HealthMonitor()
                 return True
-            self._log(
-                "retry_failed",
-                TrngState.ALARMED,
-                detail=f"attempt={attempt + 1} status={status}",
-            )
-        # 2. ring restart.
-        if policy.allow_restart:
-            for channel in self._active:
-                channel.restart()
-            self._log("ring_restart", TrngState.ALARMED, detail=self._active_name())
-            healthy, probe_bits, status, _ = self._probe(self._active)
-            if healthy:
-                self._log("recovered", self._steady_state(), detail="mechanism=restart")
-                self._monitor = self._owner._fresh_monitor()
-                return True
-            self._log("restart_failed", TrngState.ALARMED, detail=f"status={status}")
-        # 3. failover to a backup spec.
-        for backup in self._owner._backups():
-            if backup is self._active[0]:
-                continue
-            healthy, probe_bits, status, _ = self._probe(
-                [backup], blocks=policy.startup_blocks
-            )
-            if healthy:
-                self._active = [backup]
-                self._log("failover", TrngState.ONLINE, detail=f"to={backup.name}")
-                self._monitor = self._owner._fresh_monitor()
-                return True
-            self._log(
-                "failover_failed",
-                TrngState.ALARMED,
-                detail=f"to={backup.name} status={status}",
-            )
-        # 4. XOR-degraded mode over every surviving ring.
-        if policy.allow_degraded:
-            survivors = []
-            effect = self._effect()
-            for channel in [self._owner.primary] + self._owner._backups():
-                status, model = channel.resolve(effect)
-                if model is not None:
-                    survivors.append(channel)
-            if len(survivors) >= 2:
-                previous_active = self._active
-                self._active = survivors
-                healthy, probe_bits, status, _ = self._probe(survivors)
-                if healthy:
-                    self._log(
-                        "degraded_mode",
-                        TrngState.DEGRADED,
-                        detail=self._active_name(),
-                    )
-                    self._monitor = self._owner._fresh_monitor()
-                    return True
-                self._active = previous_active
-                self._log("degraded_failed", TrngState.ALARMED, detail=f"status={status}")
+            self._log(failed_kind, TrngState.ALARMED, detail=f"{prefix}status={status}")
         # 5. hard stop.
         self._log("total_failure", TrngState.TOTAL_FAILURE, detail="recovery exhausted")
         return False
 
     # -- main loop -----------------------------------------------------
     def execute(self, bit_budget: int) -> SupervisedRunResult:
-        policy = self._owner._policy
         self._log("startup", TrngState.STARTUP, detail=self._active_name())
-        healthy, _, status, _ = self._probe(self._active, blocks=policy.startup_blocks)
+        healthy, status = self._probe(self._active, blocks=STARTUP_BLOCKS)
         if healthy:
             self._log("online", TrngState.ONLINE, detail=self._active_name())
         else:
@@ -814,13 +723,10 @@ class _SupervisedRun:
 
         emitted_count = 0
         while emitted_count < bit_budget:
-            bits, status, position, time_s = self._sample(self._active)
+            bits, status = self._sample(self._active)
             alarms = self._monitor.ingest(bits)
+            self._record(bits, status, len(alarms), not alarms)
             if alarms:
-                self._record(
-                    bits, status, position, time_s, len(alarms), False,
-                    self._active_name(),
-                )
                 tests = ",".join(sorted({alarm.test_name for alarm in alarms}))
                 self._log(
                     "alarm",
@@ -830,13 +736,8 @@ class _SupervisedRun:
                 if not self._recover():
                     break
                 continue
-            emitted_state = self._state
-            self._record(
-                bits, status, position, time_s, 0, True, self._active_name()
-            )
             self._emitted.append(bits)
             emitted_count += int(bits.size)
-            del emitted_state
         return self._result()
 
     def _result(self) -> SupervisedRunResult:

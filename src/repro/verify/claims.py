@@ -871,12 +871,12 @@ register_claim(
 def _check_ext_failover(seed: int, params: Mapping[str, Any]) -> Evidence:
     from repro.core.campaign import RingSpec
     from repro.faults import FaultSchedule, ScheduledFault, VoltageBrownoutFault
-    from repro.trng.supervisor import RecoveryPolicy, SupervisedTrng, TrngState
+    from repro.trng.supervisor import SupervisedTrng, TrngState
 
     trng = SupervisedTrng(
         RingSpec("iro", 5),
+        (RingSpec("str", int(params["backup_length"])),),
         board=claim_board(params),
-        policy=RecoveryPolicy(backup_specs=(RingSpec("str", int(params["backup_length"])),)),
     )
     scenario = FaultSchedule(
         [ScheduledFault(VoltageBrownoutFault(float(params["severity"])), start_s=float(params["onset_s"]))],
@@ -932,11 +932,9 @@ register_claim(
 def _check_ext_total_failure(seed: int, params: Mapping[str, Any]) -> Evidence:
     from repro.core.campaign import RingSpec
     from repro.faults import FaultSchedule, ScheduledFault, StuckStageFault
-    from repro.trng.supervisor import RecoveryPolicy, SupervisedTrng, TrngState
+    from repro.trng.supervisor import SupervisedTrng, TrngState
 
-    trng = SupervisedTrng(
-        RingSpec("iro", 5), board=claim_board(params), policy=RecoveryPolicy()
-    )
+    trng = SupervisedTrng(RingSpec("iro", 5), board=claim_board(params))
     scenario = FaultSchedule(
         [ScheduledFault(StuckStageFault(), start_s=float(params["onset_s"]))],
         name="verify_stuck",

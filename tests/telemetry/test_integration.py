@@ -91,7 +91,7 @@ class TestSupervisorBridge:
         sink = MemorySink()
         registry = MetricsRegistry()
         with use_registry(registry), use_sink(sink):
-            trng = SupervisedTrng(RingSpec("iro", 5), block_bits=64, window=64)
+            trng = SupervisedTrng(RingSpec("iro", 5), block_bits=64)
             result = trng.run(256, seed=3)
         spans = [r for r in sink.records if r["type"] == "span"]
         run_span = next(r for r in spans if r["name"] == "supervised_run")

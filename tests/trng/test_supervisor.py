@@ -22,12 +22,14 @@ from repro.trng.supervisor import (
     LOCK_THRESHOLD,
     BackoffSchedule,
     EventLog,
-    RecoveryPolicy,
     RingChannel,
     SupervisedTrng,
     SupervisorEvent,
     TotalFailureError,
     TrngState,
+    fault_effect,
+    health_probe,
+    log_event,
 )
 
 IRO5 = RingSpec("iro", 5)
@@ -109,6 +111,65 @@ class TestRingChannel:
         assert status == "ok"  # the ring itself is fine
         assert bits.min() == 1
 
+    def test_local_upsets_hit_only_the_primary_sampler(self, board):
+        from repro.faults import FaultEffect
+
+        channel = RingChannel(IRO5, board)
+        local = FaultEffect(upset_fraction=1.0, upset_value=1, upset_local=True)
+        shared = FaultEffect(upset_fraction=1.0, upset_value=1, upset_local=False)
+        spared, _ = channel.sample_block(2048, np.random.default_rng(0), local, primary=False)
+        assert spared.min() == 0
+        forced, _ = channel.sample_block(2048, np.random.default_rng(0), shared, primary=False)
+        assert forced.min() == 1
+
+
+class TestSharedCore:
+    """The parts the supervisor and the serve pool both run on."""
+
+    def test_fault_effect_reads_the_scenario_from_its_epoch(self):
+        from repro.faults import NOMINAL_EFFECT
+
+        scenario = scheduled(StuckStageFault(), start_s=0.2)
+        assert fault_effect(None, 5.0) is NOMINAL_EFFECT
+        assert not fault_effect(scenario, 0.1).oscillation_dead
+        assert fault_effect(scenario, 0.3).oscillation_dead
+        assert not fault_effect(scenario, 0.3, epoch_s=0.2).oscillation_dead
+        assert fault_effect(scenario, 0.5, epoch_s=0.2).oscillation_dead
+
+    def test_health_probe_records_every_block_and_reports_status(self):
+        blocks = iter(
+            [
+                (np.tile([0, 1], 256), "ok"),
+                (np.zeros(512, dtype=int), "injection_locked"),
+                (np.tile([0, 1], 256), "ok"),
+            ]
+        )
+        recorded = []
+        healthy, status = health_probe(
+            HealthMonitor(), 3, lambda: next(blocks), lambda *row: recorded.append(row)
+        )
+        assert not healthy
+        assert status == "injection_locked"
+        assert [(row[1], row[2] > 0) for row in recorded] == [
+            ("ok", False), ("injection_locked", True), ("ok", False)
+        ]
+        assert health_probe(
+            HealthMonitor(), 1, lambda: (np.tile([0, 1], 256), "ok"), lambda *row: None
+        ) == (True, "ok")
+
+    def test_log_event_mirrors_into_trace_and_counters(self):
+        from repro.telemetry import MemorySink, MetricsRegistry, use_registry, use_sink
+
+        log, sink, registry = EventLog(), MemorySink(), MetricsRegistry()
+        event = SupervisorEvent("alarm", 0.5, 512, "online", "alarmed", "tests=apt")
+        with use_registry(registry), use_sink(sink):
+            log_event(log, event, "demo", "repro.demo")
+        assert list(log) == [event]
+        (record,) = [r for r in sink.records if r["type"] == "event"]
+        assert record["name"] == "demo.alarm"
+        assert registry.counter("repro.demo.events").value == 1
+        assert registry.counter("repro.demo.alarm").value == 1
+
 
 class TestEventLog:
     def test_query_helpers(self):
@@ -130,13 +191,7 @@ class TestEventLog:
         assert "alarm" in text and "online->alarmed" in text and "tests=apt" in text
 
 
-class TestPolicyValidation:
-    def test_bad_policy(self):
-        with pytest.raises(ValueError):
-            RecoveryPolicy(startup_blocks=0)
-        with pytest.raises(ValueError):
-            RecoveryPolicy(max_retries=-1)
-
+class TestValidation:
     def test_bad_block_size(self, board):
         with pytest.raises(ValueError):
             SupervisedTrng(IRO5, board=board, block_bits=8)
@@ -163,9 +218,7 @@ class TestSupervisedTrng:
         """Acceptance scenario 1: the brownout locks the IRO primary,
         the health tests alarm, recovery walks retry -> restart ->
         failover to the STR spec, and post-failover bits are healthy."""
-        trng = SupervisedTrng(
-            IRO5, board=board, policy=RecoveryPolicy(backup_specs=(STR48,))
-        )
+        trng = SupervisedTrng(IRO5, backups=(STR48,), board=board)
         result = trng.run(6144, scenario=scheduled(VoltageBrownoutFault(0.95)), seed=11)
         assert result.final_state is TrngState.ONLINE
         kinds = result.events.kinds()
@@ -190,7 +243,7 @@ class TestSupervisedTrng:
     def test_oscillation_death_without_backup_is_total_failure(self, board):
         """Acceptance scenario 2: oscillation death with no viable
         backup ends in TOTAL_FAILURE with zero bits after the alarm."""
-        trng = SupervisedTrng(IRO5, board=board, policy=RecoveryPolicy())
+        trng = SupervisedTrng(IRO5, board=board)
         result = trng.run(20_000, scenario=scheduled(StuckStageFault()), seed=7)
         assert result.final_state is TrngState.TOTAL_FAILURE
         kinds = result.events.kinds()
@@ -202,7 +255,7 @@ class TestSupervisedTrng:
         assert result.bit_count < 20_000
 
     def test_total_failure_latches_until_reset(self, board):
-        trng = SupervisedTrng(IRO5, board=board, policy=RecoveryPolicy())
+        trng = SupervisedTrng(IRO5, board=board)
         trng.run(20_000, scenario=scheduled(StuckStageFault()), seed=7)
         assert trng.state is TrngState.TOTAL_FAILURE
         with pytest.raises(TotalFailureError):
@@ -213,23 +266,18 @@ class TestSupervisedTrng:
         assert result.bit_count >= 1024
 
     def test_ripple_attack_failover(self, board):
-        trng = SupervisedTrng(
-            IRO5, board=board, policy=RecoveryPolicy(backup_specs=(STR48,))
-        )
+        trng = SupervisedTrng(IRO5, backups=(STR48,), board=board)
         result = trng.run(6144, scenario=scheduled(SupplyRippleFault(1.0)), seed=21)
         assert result.final_state is TrngState.ONLINE
         assert result.events.first_of_kind("failover") is not None
 
     def test_shared_glitch_reaches_degraded_mode(self, board):
         """A shared-net glitch hits every sampler, so failover cannot
-        help; the XOR of the two biased survivors is healthy enough."""
-        trng = SupervisedTrng(
-            IRO5,
-            board=board,
-            policy=RecoveryPolicy(max_retries=1, backup_specs=(STR48,)),
-        )
-        scenario = scheduled(GlitchBurstFault(0.5, local=False))
-        result = trng.run(8192, scenario=scenario, seed=31)
+        help; the XOR of the two biased survivors is healthy enough
+        (EXT10's glitch @ 0.50 cell: onset 0.25 s, cell seed 154)."""
+        trng = SupervisedTrng(IRO5, backups=(STR48,), board=board)
+        scenario = scheduled(GlitchBurstFault(0.5, local=False), start_s=0.25)
+        result = trng.run(10_240, scenario=scenario, seed=154)
         kinds = result.events.kinds()
         assert "failover_failed" in kinds
         assert "degraded_mode" in kinds
@@ -243,7 +291,7 @@ class TestSupervisedTrng:
     def test_startup_failure_runs_recovery(self, board):
         """A fault active from t=0 fails the startup test and recovery
         runs before anything is emitted."""
-        trng = SupervisedTrng(IRO5, board=board, policy=RecoveryPolicy())
+        trng = SupervisedTrng(IRO5, board=board)
         result = trng.run(
             4096, scenario=scheduled(StuckStageFault(), start_s=0.0), seed=41
         )
@@ -262,9 +310,7 @@ class TestSupervisedTrng:
             ],
             name="transient",
         )
-        trng = SupervisedTrng(
-            IRO5, board=board, policy=RecoveryPolicy(backup_specs=(STR48,))
-        )
+        trng = SupervisedTrng(IRO5, backups=(STR48,), board=board)
         result = trng.run(8192, scenario=scenario, seed=51)
         assert result.final_state is TrngState.ONLINE
         kinds = result.events.kinds()
@@ -274,16 +320,14 @@ class TestSupervisedTrng:
         assert "failover" not in kinds
 
     def test_alarmed_blocks_never_emitted(self, board):
-        trng = SupervisedTrng(IRO5, board=board, policy=RecoveryPolicy())
+        trng = SupervisedTrng(IRO5, board=board)
         result = trng.run(20_000, scenario=scheduled(StuckStageFault()), seed=7)
         for record in result.blocks:
             if record.alarm_count > 0:
                 assert not record.emitted
 
     def test_event_log_timeline_is_monotone(self, board):
-        trng = SupervisedTrng(
-            IRO5, board=board, policy=RecoveryPolicy(backup_specs=(STR48,))
-        )
+        trng = SupervisedTrng(IRO5, backups=(STR48,), board=board)
         result = trng.run(6144, scenario=scheduled(VoltageBrownoutFault(0.95)), seed=11)
         times = [event.time_s for event in result.events]
         positions = [event.bit_position for event in result.events]
@@ -343,105 +387,13 @@ class TestBackoffSchedule:
         with pytest.raises(ValueError):
             BackoffSchedule().blocks(-1)
 
-    def test_policy_exposes_backoff_and_validates_fields(self):
-        policy = RecoveryPolicy(
-            retry_backoff_blocks=2,
-            retry_backoff_factor=3.0,
-            retry_backoff_max_blocks=18,
-            retry_jitter=0.1,
-            retry_jitter_seed=9,
-        )
-        schedule = policy.backoff()
-        assert schedule == BackoffSchedule(
-            base_blocks=2, factor=3.0, max_blocks=18, jitter=0.1, seed=9
-        )
-        with pytest.raises(ValueError):
-            RecoveryPolicy(retry_backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            RecoveryPolicy(retry_jitter=1.5)
-
-    def test_default_policy_backoff_reproduces_fixed_wait(self):
-        schedule = RecoveryPolicy().backoff()
-        assert [schedule.blocks(k) for k in range(5)] == [1] * 5
-
-
-class TestRecoveryBackoffBehaviour:
-    def test_brownout_timeline_identical_with_explicit_defaults(self, board):
-        """Spelling the historical fixed wait explicitly changes nothing:
-        same events at the same bit positions, same emitted stream."""
-        default = SupervisedTrng(
-            IRO5, board=board, policy=RecoveryPolicy(backup_specs=(STR48,))
-        ).run(6144, scenario=scheduled(VoltageBrownoutFault(0.95)), seed=11)
-        explicit = SupervisedTrng(
-            IRO5,
-            board=board,
-            policy=RecoveryPolicy(
-                backup_specs=(STR48,),
-                retry_backoff_blocks=1,
-                retry_backoff_factor=1.0,
-                retry_backoff_max_blocks=None,
-                retry_jitter=0.0,
-            ),
-        ).run(6144, scenario=scheduled(VoltageBrownoutFault(0.95)), seed=11)
-        assert default.events.kinds() == explicit.events.kinds()
-        assert [e.bit_position for e in default.events] == [
-            e.bit_position for e in explicit.events
-        ]
-        assert np.array_equal(default.bits, explicit.bits)
-
-    def test_exponential_backoff_discards_more_before_probing(self, board):
-        """With factor > 1 the retry rung waits longer between probes, so
-        the same brownout costs more sampled (discarded) bits before the
-        ladder reaches failover — the recovery outcome is unchanged."""
-        scenario = scheduled(VoltageBrownoutFault(0.95))
-        fixed = SupervisedTrng(
-            IRO5,
-            board=board,
-            policy=RecoveryPolicy(backup_specs=(STR48,), max_retries=3),
-        ).run(6144, scenario=scenario, seed=11)
-        spaced = SupervisedTrng(
-            IRO5,
-            board=board,
-            policy=RecoveryPolicy(
-                backup_specs=(STR48,),
-                max_retries=3,
-                retry_backoff_blocks=2,
-                retry_backoff_factor=2.0,
-            ),
-        ).run(6144, scenario=scenario, seed=11)
-        assert fixed.final_state is TrngState.ONLINE
-        assert spaced.final_state is TrngState.ONLINE
-        assert "failover" in spaced.events.kinds()
-        assert spaced.total_sampled > fixed.total_sampled
-
-    def test_jittered_recovery_is_replayable(self, board):
-        policy = RecoveryPolicy(
-            backup_specs=(STR48,),
-            retry_backoff_blocks=2,
-            retry_backoff_factor=2.0,
-            retry_jitter=0.3,
-            retry_jitter_seed=5,
-        )
-        scenario = scheduled(VoltageBrownoutFault(0.95))
-        first = SupervisedTrng(IRO5, board=board, policy=policy).run(
-            6144, scenario=scenario, seed=11
-        )
-        second = SupervisedTrng(IRO5, board=board, policy=policy).run(
-            6144, scenario=scenario, seed=11
-        )
-        assert first.events.kinds() == second.events.kinds()
-        assert [e.bit_position for e in first.events] == [
-            e.bit_position for e in second.events
-        ]
-        assert np.array_equal(first.bits, second.bits)
-
 
 class TestFailoverEdgeCases:
     def test_zero_spare_channels_brownout_is_total_failure(self, board):
         """No backups and a single locked primary: the ladder walks
         retry -> restart and stops — no failover, no degraded rung
         (XOR needs two survivors), TOTAL_FAILURE latched."""
-        trng = SupervisedTrng(IRO5, board=board, policy=RecoveryPolicy())
+        trng = SupervisedTrng(IRO5, board=board)
         result = trng.run(8192, scenario=scheduled(VoltageBrownoutFault(0.95)), seed=13)
         assert result.final_state is TrngState.TOTAL_FAILURE
         kinds = result.events.kinds()
@@ -458,9 +410,10 @@ class TestFailoverEdgeCases:
         and recovery returns to the degraded steady state."""
         scenario = FaultSchedule(
             [
-                # Persistent moderate shared glitch: pushes past failover
-                # into XOR-degraded mode (survivors' XOR is healthy).
-                ScheduledFault(GlitchBurstFault(0.5, local=False), start_s=0.2),
+                # EXT10's glitch @ 0.50 cell: a persistent moderate shared
+                # glitch pushes past failover into XOR-degraded mode (the
+                # survivors' XOR is healthy).
+                ScheduledFault(GlitchBurstFault(0.5, local=False), start_s=0.25),
                 # A late severe spike the XOR cannot mask.
                 ScheduledFault(
                     GlitchBurstFault(0.97, local=False), start_s=1.2, stop_s=1.45
@@ -468,12 +421,8 @@ class TestFailoverEdgeCases:
             ],
             name="degraded_then_spike",
         )
-        trng = SupervisedTrng(
-            IRO5,
-            board=board,
-            policy=RecoveryPolicy(max_retries=1, backup_specs=(STR48,)),
-        )
-        result = trng.run(40_000, scenario=scenario, seed=31)
+        trng = SupervisedTrng(IRO5, backups=(STR48,), board=board)
+        result = trng.run(40_000, scenario=scenario, seed=154)
         kinds = result.events.kinds()
         assert "degraded_mode" in kinds
         degraded_at = kinds.index("degraded_mode")
@@ -522,9 +471,7 @@ class TestEventSerialization:
         assert log.kinds() == []
 
     def test_multi_kind_log_round_trips(self, board):
-        trng = SupervisedTrng(
-            IRO5, board=board, policy=RecoveryPolicy(backup_specs=(STR48,))
-        )
+        trng = SupervisedTrng(IRO5, backups=(STR48,), board=board)
         result = trng.run(6144, scenario=scheduled(StuckStageFault()), seed=11)
         original = result.events
         assert len(set(original.kinds())) > 1  # a real multi-kind timeline
@@ -548,9 +495,7 @@ class TestPinnedRuns:
     """Two recovery paths pinned event for event and bit for bit."""
 
     def test_brownout_failover(self, board):
-        trng = SupervisedTrng(
-            IRO5, board=board, policy=RecoveryPolicy(backup_specs=(STR48,))
-        )
+        trng = SupervisedTrng(IRO5, backups=(STR48,), board=board)
         result = trng.run(6144, scenario=scheduled(VoltageBrownoutFault(0.95)), seed=11)
         assert "failover" in result.events.kinds()
         assert run_digest(result) == (
@@ -559,9 +504,7 @@ class TestPinnedRuns:
 
     def test_shared_glitch_degraded_mode(self, board):
         # EXT10's glitch @ 0.50 cell: onset 0.25 s, cell seed 154.
-        trng = SupervisedTrng(
-            IRO5, board=board, policy=RecoveryPolicy(backup_specs=(STR48,))
-        )
+        trng = SupervisedTrng(IRO5, backups=(STR48,), board=board)
         scenario = scheduled(standard_fault("glitch", 0.5), start_s=0.25)
         result = trng.run(10_240, scenario=scenario, seed=154)
         assert result.final_state is TrngState.DEGRADED
